@@ -454,7 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip temporal differencing")
     p.add_argument("--snapshot-at", metavar="T,...",
                    help="comma-separated times for spectral snapshot JSONs")
-    p.add_argument("--eval-from", type=int, help="first time to evaluate")
+    p.add_argument("--eval-from", type=int,
+                   help="first time to evaluate; trimming keeps the raw "
+                   "values but renormalizes the curves and recomputes the "
+                   "alarms over the trimmed range")
     p.add_argument("--eval-to", type=int, help="last time to evaluate")
     p.set_defaults(func=cmd_detect_rmt)
 

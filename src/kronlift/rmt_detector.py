@@ -3,10 +3,20 @@
 Slides a window over the (optionally differenced) lifted data, extracts
 the covariance spectrum and the ring spectrum per window, and emits LES
 and MSR indicator curves plus robust-deviation alarms.
+
+Windows are independent (ring randomness is keyed by (seed, t)), so
+run_rmt splits them into contiguous chunks, one per worker, and
+evaluates all but the first chunk in forked children.  Workers are the
+CPUs the process may run on divided by the BLAS thread count, so a BLAS
+left to take every CPU gets the serial loop.  Each window runs the same
+code in whichever process evaluates it, so the curves do not depend on
+the worker count.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,14 +34,14 @@ from .lift import LiftedMatrix, lift_matrix
 from .spectral import (
     CovarianceSpec,
     SpectralSummary,
-    covariance_eigenvalues,
-    row_standardize,
-    singular_value_equivalent,
     summarize_window,
-    tensor_covariance,
+    window_spectra,
 )
 
 MAD_TO_SIGMA = 1.4826  # consistency factor for Gaussian data
+# where OpenBLAS reads its thread count, in its order (MKL also honours
+# OMP_NUM_THREADS); an unknown count means the BLAS takes every CPU
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,9 @@ class RmtDetectorConfig:
     deviation_rule: DeviationRule = DeviationRule()
     scale_mode: str = "sqrt-dim"
     # evaluation range on the public time axis; None means full history.
-    # Narrows long runs to the span of interest without changing any
-    # emitted value (per-window randomness is keyed by absolute time).
+    # Narrowing it leaves the raw LES/MSR values of the kept windows
+    # unchanged (per-window randomness is keyed by absolute time); the
+    # normalized curves and the alarms are recomputed over the range.
     eval_from: int | None = None
     eval_to: int | None = None
 
@@ -95,6 +106,14 @@ def window_at(lifted: LiftedMatrix, t: int, width: int) -> np.ndarray:
     return lifted.values[:, j - width + 1 : j + 1]
 
 
+def _check_baseline(rule: DeviationRule, points: int) -> None:
+    if rule.enabled and not 2 <= rule.baseline_span <= points:
+        raise ConfigError(
+            f"baseline_span {rule.baseline_span} does not fit a curve of "
+            f"{points} points"
+        )
+
+
 def deviation_alarms(
     curve: IndicatorSeries, rule: DeviationRule
 ) -> list[Alarm]:
@@ -102,11 +121,7 @@ def deviation_alarms(
     if not rule.enabled:
         return []
     v = curve.values
-    if rule.baseline_span < 2 or rule.baseline_span > v.size:
-        raise ConfigError(
-            f"baseline_span {rule.baseline_span} does not fit a curve of "
-            f"{v.size} points"
-        )
+    _check_baseline(rule, v.size)
     base = v[: rule.baseline_span]
     med = float(np.median(base))
     sigma = MAD_TO_SIGMA * float(np.median(np.abs(base - med)))
@@ -118,10 +133,113 @@ def deviation_alarms(
     ]
 
 
-def _ring_oriented(W: np.ndarray) -> np.ndarray:
-    # run ring analysis in the orientation with rows <= columns; the other
-    # orientation pins rows-columns eigenvalues at zero and buries the ring
-    return W if W.shape[0] <= W.shape[1] else W.T
+def _evaluate(
+    lifted: LiftedMatrix, times: np.ndarray, cfg: RmtDetectorConfig
+) -> np.ndarray:
+    """LES (row 0) and MSR (row 1) of the windows ending at times."""
+    out = np.empty((2, times.size))
+    for i, t in enumerate(times):
+        W = window_at(lifted, int(t), cfg.window.width)
+        try:
+            cov_eigs, ring_eigs = window_spectra(W, (cfg.seed, int(t)), cfg.weights)
+        except NumericalError as exc:
+            raise NumericalError(f"window ending at t={t}: {exc}") from exc
+        out[:, i] = les(cov_eigs, cfg.test_function), msr(ring_eigs)
+    return out
+
+
+def _worker_count() -> int:
+    """Processes to spread windows over: CPUs per BLAS thread count.
+
+    The BLAS reads its thread count from the environment when numpy
+    loads and starts one thread per CPU when none is set.  Its idle
+    threads spin, so a second process would oversubscribe the CPUs: with
+    2 processes of 2 OpenBLAS threads on 2 CPUs a k=2 run took 3.6x as
+    long as the serial loop.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+def _fork_chunk(
+    lifted: LiftedMatrix, times: np.ndarray, cfg: RmtDetectorConfig
+) -> tuple[int, int] | None:
+    """Evaluate a chunk in a forked child; (pid, read end of its pipe).
+
+    The child writes its float64 values and exits 0, or exits 1 on any
+    failure, leaving the parent to reproduce the error.  It runs only
+    numpy and this module, takes no lock another thread could hold, and
+    leaves by os._exit, so fork is safe here; OpenBLAS stops its own
+    thread pool before each fork.  None when no child could be started.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as f:
+                f.write(_evaluate(lifted, times, cfg).tobytes())
+            code = 0
+        finally:
+            os._exit(code)  # skip the parent's exit handlers and buffers
+    os.close(w)
+    return pid, r
+
+
+def _collect(pid: int, fd: int, windows: int) -> np.ndarray | None:
+    """Values a child wrote, or None when it failed; reaps the child."""
+    try:
+        with os.fdopen(fd, "rb") as f:
+            data = f.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0 or len(data) != 16 * windows:
+        return None
+    return np.frombuffer(data).reshape(2, windows)
+
+
+def _evaluate_parallel(
+    lifted: LiftedMatrix, times: np.ndarray, cfg: RmtDetectorConfig
+) -> np.ndarray:
+    """_evaluate over contiguous chunks, one per worker, the first here.
+
+    A chunk whose child failed or never started is evaluated again here,
+    so an error surfaces exactly as the serial loop raises it.
+    """
+    chunks = np.array_split(times, min(_worker_count(), times.size))
+    if len(chunks) < 2 or not hasattr(os, "fork"):
+        return _evaluate(lifted, times, cfg)
+    children: list[tuple[int, int] | None] = []
+    parts: list[np.ndarray | None] = [None] * len(chunks)
+    try:
+        for chunk in chunks[1:]:
+            children.append(_fork_chunk(lifted, chunk, cfg))
+        parts[0] = _evaluate(lifted, chunks[0], cfg)
+    except BaseException:
+        for child in filter(None, children):
+            os.kill(child[0], signal.SIGKILL)
+        raise
+    finally:
+        for j, child in enumerate(children, start=1):
+            if child is not None:
+                parts[j] = _collect(*child, chunks[j].size)
+    for j, part in enumerate(parts):
+        if part is None:
+            parts[j] = _evaluate(lifted, chunks[j], cfg)
+    return np.concatenate(parts, axis=1)
 
 
 def run_rmt(
@@ -132,9 +250,10 @@ def run_rmt(
     """End-to-end windowed pipeline producing LES-t and MSR-t curves.
 
     Per-window randomness (the ring unitary) is keyed by (cfg.seed, t), so
-    results are independent of stride and evaluation range.  The LES curve
-    is normalized on its magnitude: the entropy statistic of these spectra
-    is negative, and the deviation rule wants a curve in (0, 1].
+    raw values are independent of stride, evaluation range and CPU count.
+    The LES curve is normalized on its magnitude: the entropy statistic of
+    these spectra is negative, and the deviation rule wants a curve in
+    (0, 1].
     """
     data = residual_matrix(D) if cfg.use_residual else D
     if data.samples < cfg.window.width:
@@ -153,19 +272,9 @@ def run_rmt(
             f"within valid times [{first}, {last}]"
         )
     times = np.arange(lo, hi + 1, cfg.window.stride)
+    _check_baseline(cfg.deviation_rule, times.size)
 
-    les_vals = np.empty(times.size)
-    msr_vals = np.empty(times.size)
-    for i, t in enumerate(times):
-        W = window_at(lifted, int(t), width)
-        try:
-            M = tensor_covariance(W, cfg.weights)
-            les_vals[i] = les(covariance_eigenvalues(M), cfg.test_function)
-            Z = row_standardize(_ring_oriented(W))
-            Xu = singular_value_equivalent(Z, (cfg.seed, int(t)))
-            msr_vals[i] = msr(np.linalg.eigvals(Xu))
-        except NumericalError as exc:
-            raise NumericalError(f"window ending at t={t}: {exc}") from exc
+    les_vals, msr_vals = _evaluate_parallel(lifted, times, cfg)
 
     stride = cfg.window.stride
     les_raw = IndicatorSeries(int(times[0]), les_vals, "LES", stride)

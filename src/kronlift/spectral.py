@@ -285,6 +285,28 @@ def esd_ks_distance(eigs: np.ndarray, law) -> float:
     return float(min(1.0, d))
 
 
+def window_spectra(
+    W: np.ndarray, seed, weights: CovarianceSpec | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance eigenvalues and ring eigenvalues of one dim x N' window.
+
+    The ring runs in the orientation whose row count does not exceed its
+    column count: the other one would pin |dim - N'| eigenvalues at zero
+    and bury the ring.  Ring randomness comes from seed alone.
+    """
+    W = np.asarray(W, dtype=float)
+    cov_eigs = covariance_eigenvalues(
+        tensor_covariance(W, weights or CovarianceSpec())
+    )
+    A = W if W.shape[0] <= W.shape[1] else W.T
+    Xu = singular_value_equivalent(row_standardize(A), seed)
+    try:
+        ring_eigs = np.linalg.eigvals(Xu)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"ring eigensolver failed: {exc}") from exc
+    return cov_eigs, ring_eigs
+
+
 def summarize_window(
     W: np.ndarray,
     *,
@@ -296,26 +318,15 @@ def summarize_window(
 
     The MP reference uses c = dim/N' (see module docstring for the
     convention; the summary's c_ratio field is the reciprocal N'/dim).
-    Ring analysis always runs in the orientation whose row count does not
-    exceed its column count: a rank-deficient orientation would pin
-    dim - N' eigenvalues at zero and make annulus coverage meaningless.
+    The ring reference uses the ratio of the ring orientation chosen by
+    window_spectra, rows over columns.
     """
     W = np.asarray(W, dtype=float)
     dim, n_cols = W.shape
-    cov = tensor_covariance(W, weights or CovarianceSpec())
-    cov_eigs = covariance_eigenvalues(cov)
+    cov_eigs, ring_eigs = window_spectra(W, seed, weights)
     law = mp_law(dim / n_cols, sigma2)  # the one dim/samples conversion site
     ks = esd_ks_distance(cov_eigs, law)
-
-    A = W if dim <= n_cols else W.T
-    p, q = A.shape
-    Z = row_standardize(A)
-    Xu = singular_value_equivalent(Z, seed)
-    try:
-        ring_eigs = np.linalg.eigvals(Xu)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"ring eigensolver failed: {exc}") from exc
-    inner = ring_reference(p / q)[0]
+    inner = ring_reference(min(dim, n_cols) / max(dim, n_cols))[0]
     coverage = ring_coverage(ring_eigs, inner)
     return SpectralSummary(
         covariance_eigs=cov_eigs,

@@ -9,6 +9,7 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from kronlift.cli import main
@@ -185,6 +186,21 @@ class TestDetectRmt:
         rc = main(["detect-rmt", str(tmp_path / "none.csv"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_ring_solver_failure_exits_4(self, small_data, tmp_path,
+                                         monkeypatch, capsys):
+        data, cfg = small_data
+
+        def eigvals(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        rc = main(["detect-rmt", data, "--config", cfg,
+                   "--out", str(tmp_path / "o"),
+                   "--eval-from", "35", "--eval-to", "45"])
+        assert rc == 4
+        assert ("window ending at t=35: ring eigensolver failed"
+                in capsys.readouterr().err)
 
 
 class TestDetectSae:

@@ -1,8 +1,18 @@
+import json
+import os
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from kronlift import rmt_detector, spectral
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix, WindowSpec
-from kronlift.errors import ConfigError, WindowError
+from kronlift.errors import (
+    ConfigError,
+    NumericalError,
+    StandardizationError,
+    WindowError,
+)
 from kronlift.indicators import msr
 from kronlift.lift import lift_matrix
 from kronlift.rmt_detector import (
@@ -11,6 +21,7 @@ from kronlift.rmt_detector import (
     run_rmt,
     window_at,
 )
+from kronlift.synth import generate, scenario_from_dict
 
 
 def white_stm(P, N, seed, level=1.0, sigma=1e-3, t0=1):
@@ -156,6 +167,19 @@ class TestRunRmtStructure:
                 D, small_config(deviation_rule=DeviationRule(baseline_span=300))
             )
 
+    def test_baseline_span_checked_before_any_window(self, monkeypatch):
+        def kernel(*a, **kw):
+            raise AssertionError("window kernel called")
+
+        monkeypatch.setattr(rmt_detector, "window_spectra", kernel)
+        D = white_stm(6, 60, seed=8)
+        rule = DeviationRule(baseline_span=300)
+        with pytest.raises(
+            ConfigError,
+            match=r"^baseline_span 300 does not fit a curve of 48 points$",
+        ):
+            run_rmt(D, small_config(deviation_rule=rule))
+
     def test_deviation_rule_disabled(self):
         D = white_stm(6, 60, seed=9)
         rep = run_rmt(
@@ -260,3 +284,167 @@ class TestDetection:
                 total += v.size
                 hits += int(np.sum(dev >= 3.0))
         assert hits / total <= 0.02
+
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(rmt_detector, "_worker_count", lambda: n)
+
+
+def _raw(rep):
+    return rep.les_raw.values.tobytes(), rep.msr_raw.values.tobytes()
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def frozen_stm(freeze_from):
+    """8 noisy channels stuck at exactly 1.0 from freeze_from on.
+
+    With k=2, n=4 every lifted entry of a stuck column is exactly 1.0
+    (unit segments of 0.5 entries, times sqrt(16)), so a window of stuck
+    columns has rows of exactly zero variance.
+    """
+    D = white_stm(8, 80, seed=20)
+    vals = D.values.copy()
+    vals[:, freeze_from - 1:] = 1.0
+    return SpatioTemporalMatrix(values=vals, channel_ids=D.channel_ids, t0=1)
+
+
+class TestParallelWindows:
+    """Windows spread over forked workers give the serial loop's results."""
+
+    @pytest.mark.parametrize("env,workers", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+        ({"GOTO_NUM_THREADS": "8"}, 1),
+        ({"OMP_NUM_THREADS": "x"}, 1),
+    ])
+    def test_worker_count_leaves_cpus_to_blas_threads(self, monkeypatch,
+                                                     env, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        for var in rmt_detector.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert rmt_detector._worker_count() == workers
+
+    @pytest.fixture(scope="class")
+    def case_a(self):
+        doc = json.loads(resources.files("kronlift").joinpath(
+            "scenarios", "case_a_step.json").read_text(encoding="utf-8"))
+        return generate(scenario_from_dict(doc["scenario"]))
+
+    @pytest.mark.parametrize("k,n", [(1, 28), (2, 14)])
+    def test_case_a_slice_bit_identical(self, case_a, monkeypatch, k, n):
+        cfg = RmtDetectorConfig(
+            lift=LiftConfig(k=k, n=n),
+            window=WindowSpec(width=200),
+            use_residual=False,
+            deviation_rule=DeviationRule(enabled=False),
+            eval_from=495,
+            eval_to=506,
+        )
+        _workers(monkeypatch, 1)
+        serial = run_rmt(case_a, cfg)
+        _workers(monkeypatch, 2)
+        parallel = run_rmt(case_a, cfg)
+        assert _raw(parallel) == _raw(serial)
+        _no_children_left()
+
+    def test_stride_and_fewer_windows_than_workers(self, monkeypatch):
+        D = white_stm(6, 60, seed=21)
+        cfg = small_config(
+            window=WindowSpec(width=12, stride=3),
+            eval_from=30, eval_to=36,
+            deviation_rule=DeviationRule(enabled=False),
+        )
+        _workers(monkeypatch, 1)
+        serial = run_rmt(D, cfg)
+        _workers(monkeypatch, 8)
+        parallel = run_rmt(D, cfg)
+        assert list(parallel.les_raw.times()) == [30, 33, 36]
+        assert _raw(parallel) == _raw(serial)
+        _no_children_left()
+
+    def test_fork_failure_falls_back_to_parent(self, monkeypatch):
+        def no_fork():
+            raise OSError("fork refused")
+
+        D = white_stm(6, 60, seed=22)
+        cfg = small_config(deviation_rule=DeviationRule(enabled=False))
+        _workers(monkeypatch, 1)
+        serial = run_rmt(D, cfg)
+        _workers(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _raw(run_rmt(D, cfg)) == _raw(serial)
+
+    @pytest.mark.parametrize("freeze_from", [30, 60])
+    def test_frozen_span_raises_serial_error(self, monkeypatch, freeze_from):
+        # the first window of stuck columns ends at freeze_from + 19: in
+        # the parent's chunk (30) or the last child's (60) with 2 workers
+        D = frozen_stm(freeze_from)
+        cfg = small_config(lift=LiftConfig(k=2, n=4),
+                           window=WindowSpec(width=20), use_residual=False,
+                           deviation_rule=DeviationRule(enabled=False))
+        errors = []
+        for n in (1, 2, 3):
+            _workers(monkeypatch, n)
+            with pytest.raises(StandardizationError) as info:
+                run_rmt(D, cfg)
+            errors.append((type(info.value), str(info.value)))
+            _no_children_left()
+        assert errors[0] == (StandardizationError, "row 0 has zero variance")
+        assert errors[1:] == errors[:1] * 2
+
+    def test_parent_failure_stops_children(self, monkeypatch):
+        killed = []
+        real_kill = os.kill
+
+        def kill(pid, sig):
+            killed.append(pid)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", kill)
+        _workers(monkeypatch, 3)
+        cfg = small_config(lift=LiftConfig(k=2, n=4),
+                           window=WindowSpec(width=20), use_residual=False,
+                           deviation_rule=DeviationRule(enabled=False))
+        with pytest.raises(StandardizationError):
+            run_rmt(frozen_stm(21), cfg)  # fails in the parent's chunk
+        assert len(killed) == 2
+        _no_children_left()
+
+    def test_ring_solver_failure_names_window(self, monkeypatch):
+        real_sve = spectral.singular_value_equivalent
+        real_eigvals = np.linalg.eigvals
+        current = {}
+
+        def sve(Z, seed, **kw):
+            current["t"] = seed[1]
+            return real_sve(Z, seed, **kw)
+
+        def eigvals(a):
+            if current.get("t") == 55:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigvals(a)
+
+        monkeypatch.setattr(spectral, "singular_value_equivalent", sve)
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        D = white_stm(6, 60, seed=23)
+        messages = []
+        for n in (1, 2):
+            _workers(monkeypatch, n)
+            with pytest.raises(NumericalError) as info:
+                run_rmt(D, small_config())
+            messages.append(str(info.value))
+            _no_children_left()
+        assert messages[0] == (
+            "window ending at t=55: ring eigensolver failed: "
+            "Eigenvalues did not converge"
+        )
+        assert messages[1] == messages[0]

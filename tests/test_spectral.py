@@ -3,6 +3,7 @@ import pytest
 
 from kronlift.errors import (
     DimensionError,
+    NumericalError,
     ParameterError,
     PreconditionError,
     StandardizationError,
@@ -19,6 +20,7 @@ from kronlift.spectral import (
     singular_value_equivalent,
     summarize_window,
     tensor_covariance,
+    window_spectra,
 )
 
 
@@ -318,6 +320,27 @@ class TestEsdKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             esd_ks_distance(np.array([]), mp_law(1.0, 1.0))
+
+
+class TestWindowSpectra:
+    def test_tall_window_ring_on_transpose(self):
+        rng = np.random.default_rng(17)
+        W = rng.standard_normal((64, 48))
+        cov_eigs, ring_eigs = window_spectra(W, (3, 7))
+        assert cov_eigs.shape == (64,)
+        assert ring_eigs.shape == (48,)
+        s = summarize_window(W, seed=(3, 7))
+        assert cov_eigs.tobytes() == s.covariance_eigs.tobytes()
+        assert ring_eigs.tobytes() == s.ring_eigs.tobytes()
+
+    def test_ring_solver_failure_is_numerical(self, monkeypatch):
+        def eigvals(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        W = np.random.default_rng(18).standard_normal((8, 12))
+        with pytest.raises(NumericalError, match="ring eigensolver failed"):
+            window_spectra(W, 0)
 
 
 class TestSummarizeWindow:
