@@ -4,14 +4,16 @@ Four subcommands: synth writes a scenario matrix to CSV, detect-rmt runs
 the windowed spectral detector, detect-sae trains and scores the
 reconstruction-error detector, esd-check summarizes one window's
 spectrum against the reference laws.  Every command writes its outputs
-plus a manifest.json recording the effective configuration, the seed,
-and sha256 digests of inputs and outputs, into the --out directory.
+plus a manifest.json recording the settings it ran with, the seed, and
+sha256 digests of inputs and outputs, into the --out directory.
 
 Configs are JSON with a schema_version field and optional scenario /
 detector / sae / esd sections; --config accepts a path or the name of a
-packaged scenario (case_a_step, case_b_ramp).  Flags override config
-values.  Exit codes: 0 success, 2 config or format problem, 3 violated
-precondition, 4 numerical failure.
+packaged scenario (case_a_step, case_b_ramp).  A command reads its
+sections against the schemas below, writes the flags named after config
+keys over them, builds its dataclasses from that settings dict, and
+records the same dict as the manifest config.  Exit codes: 0 success,
+2 config or format problem, 3 violated precondition, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ from .data_model import (
     LiftConfig,
     SpatioTemporalMatrix,
     WindowSpec,
+    boolean,
+    integer,
+    list_of,
     load_matrix,
+    number,
+    read_section,
     residual_matrix,
     save_matrix,
 )
@@ -55,6 +62,12 @@ _SECTIONS = {"schema_version", "name", "description",
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
+
+
+def _write_lines(path: Path, lines) -> Path:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.writelines(line + "\n" for line in lines)
+    return path
 
 
 def _sha256(path: Path) -> str:
@@ -89,7 +102,7 @@ def load_config(name_or_path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # true == 1
         raise ConfigError(f"unsupported config schema_version {version!r}")
     unknown = set(doc) - _SECTIONS
     if unknown:
@@ -97,39 +110,73 @@ def load_config(name_or_path: str | None) -> dict:
     return doc
 
 
-def _parse_test_function(choice) -> TestFunction:
-    if choice is None or choice == "entropy":
+def _test_function(spec) -> TestFunction:
+    if spec == "entropy":
         return entropy()
-    if choice == "likelihood_ratio":
+    if spec == "likelihood_ratio":
         return likelihood_ratio()
-    if isinstance(choice, dict) and choice.get("kind") == "chebyshev":
-        return chebyshev(tuple(float(c) for c in choice.get("coefficients", ())))
-    raise ConfigError(f"unknown test function {choice!r}")
+    if isinstance(spec, dict) and spec.get("kind") == "chebyshev":
+        return chebyshev(read_section(spec, CHEBYSHEV_SCHEMA,
+                                      "detector.test_function")["coefficients"])
+    raise ConfigError(f"detector.test_function: unknown test function {spec!r}")
 
 
-def _lift_for(channels: int, section: dict, k_flag: int | None) -> LiftConfig:
-    """Factorization channels = k * n, honoring a --k override."""
-    k = k_flag if k_flag is not None else int(section.get("k", 2))
-    if "n" in section and k_flag is None:
-        n = int(section["n"])
-        if k * n != channels:
-            raise ConfigError(
-                f"lift factorization {k} * {n} != {channels} channels")
-        return LiftConfig(k=k, n=n)
-    if k == 1:
-        return LiftConfig(k=1, n=channels)
-    if channels % k != 0:
-        raise ConfigError(f"{channels} channels do not split into {k} segments")
-    return LiftConfig(k=k, n=channels // k)
+def _train_span(value) -> tuple[int, int]:
+    start, end = map(integer, value)
+    return start, end
 
 
-def _parse_snapshot_list(text: str | None) -> tuple[int, ...]:
-    if text is None:
-        return ()
+def _times(text: str) -> tuple[int, ...]:
+    """--snapshot-at T,...: comma-separated window end times."""
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad --snapshot-at value {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad time list {text!r}") from None
+
+
+CHEBYSHEV_SCHEMA = {"kind": (str, None), "coefficients": (list_of(number), ())}
+DETECTOR_SCHEMA = {
+    "k": (integer, 2), "n": (integer, None), "window_width": (integer, 200),
+    "stride": (integer, 1),
+    "test_function": (lambda spec: spec, "entropy"),  # _test_function checks it
+    "use_residual": (boolean, True), "scale_mode": (str, "sqrt-dim"),
+    "baseline_span": (integer, 300), "threshold_sigmas": (number, 5.0),
+    "alarms_enabled": (boolean, True), "seed": (integer, 0),
+    "snapshot_at": (list_of(integer), ()),
+}
+SAE_SCHEMA = {
+    "k": (integer, 2), "n": (integer, None), "learning_rate": (number, 1e-4),
+    "max_iterations": (integer, 1000), "train_span": (_train_span, (1, 200)),
+    "seed": (integer, 0),
+}
+ESD_SCHEMA = {
+    "use_residual": (boolean, True), "seed": (integer, 0),
+    "snapshot_at": (list_of(integer), ()),
+}
+
+
+def _settings(doc: dict, name: str, schema: dict, args) -> dict:
+    """Section name, read, with the flags named after its keys written over
+    it.  --k clears n, which then follows from the channel count."""
+    settings = read_section(doc.get(name, {}), schema, name)
+    for key in schema:
+        if getattr(args, key, None) is not None:
+            settings[key] = getattr(args, key)
+            if key == "k":
+                settings["n"] = None
+    return settings
+
+
+def _lift(settings: dict, channels: int) -> LiftConfig:
+    """Factorization channels = k * n; records n = channels // k if unset."""
+    k, n = settings["k"], settings["n"]
+    if n is None:
+        if k < 1 or channels % k:
+            raise ConfigError(f"{channels} channels do not split into {k} segments")
+        n = settings["n"] = channels // k
+    elif k * n != channels:
+        raise ConfigError(f"lift factorization {k} * {n} != {channels} channels")
+    return LiftConfig(k=k, n=n)
 
 
 def write_manifest(
@@ -152,9 +199,7 @@ def write_manifest(
         "outputs": {p.name: _sha256(p) for p in outputs},
         "duration_seconds": round(time.monotonic() - started, 3),
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return path
+    return _write_lines(out_dir / "manifest.json", [json.dumps(doc, indent=2)])
 
 
 def _out_dir(args) -> Path:
@@ -173,11 +218,7 @@ def _load_data(path_str: str) -> SpatioTemporalMatrix:
 
 def cmd_synth(args) -> int:
     started = time.monotonic()
-    doc = load_config(args.config)
-    section = doc.get("scenario")
-    if section is None:
-        section = {k: v for k, v in doc.items() if k not in _SECTIONS}
-    cfg = scenario_from_dict(section)
+    cfg = scenario_from_dict(load_config(args.config).get("scenario", {}))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     out = _out_dir(args)
@@ -187,49 +228,6 @@ def cmd_synth(args) -> int:
     write_manifest(out, "synth", dataclasses.asdict(cfg), cfg.seed,
                    {}, [data_path], started)
     return 0
-
-
-def _detector_config(doc: dict, args, channels: int) -> tuple[
-        RmtDetectorConfig, dict, tuple[int, ...]]:
-    section = doc.get("detector", {})
-    lift = _lift_for(channels, section, args.k)
-    width = args.window if args.window is not None else int(
-        section.get("window_width", 200))
-    use_residual = bool(section.get("use_residual", True))
-    if args.no_residual:
-        use_residual = False
-    seed = args.seed if args.seed is not None else int(section.get("seed", 0))
-    tf_spec = section.get("test_function", "entropy")
-    rule = DeviationRule(
-        baseline_span=int(section.get("baseline_span", 300)),
-        threshold_sigmas=float(section.get("threshold_sigmas", 5.0)),
-        enabled=bool(section.get("alarms_enabled", True)),
-    )
-    cfg = RmtDetectorConfig(
-        lift=lift,
-        window=WindowSpec(width=width, stride=int(section.get("stride", 1))),
-        test_function=_parse_test_function(tf_spec),
-        use_residual=use_residual,
-        seed=seed,
-        deviation_rule=rule,
-        scale_mode=str(section.get("scale_mode", "sqrt-dim")),
-        eval_from=args.eval_from,
-        eval_to=args.eval_to,
-    )
-    snapshots = _parse_snapshot_list(args.snapshot_at)
-    if not snapshots:
-        snapshots = tuple(int(t) for t in section.get("snapshot_at", ()))
-    snapshot_doc = {
-        "k": lift.k, "n": lift.n, "window_width": width,
-        "stride": cfg.window.stride, "test_function": tf_spec,
-        "use_residual": use_residual, "scale_mode": cfg.scale_mode,
-        "baseline_span": rule.baseline_span,
-        "threshold_sigmas": rule.threshold_sigmas,
-        "alarms_enabled": rule.enabled, "seed": seed,
-        "eval_from": cfg.eval_from, "eval_to": cfg.eval_to,
-        "snapshot_at": list(snapshots),
-    }
-    return cfg, snapshot_doc, snapshots
 
 
 def _summary_doc(t, summary) -> dict:
@@ -248,72 +246,53 @@ def _summary_doc(t, summary) -> dict:
 def cmd_detect_rmt(args) -> int:
     started = time.monotonic()
     M = _load_data(args.data)
-    doc = load_config(args.config)
-    cfg, snapshot_doc, snapshots = _detector_config(doc, args, M.channels)
-    report = run_rmt(M, cfg, snapshot_at=snapshots)
+    settings = _settings(load_config(args.config), "detector",
+                         DETECTOR_SCHEMA, args)
+    settings.update(eval_from=args.eval_from, eval_to=args.eval_to)
+    cfg = RmtDetectorConfig(
+        lift=_lift(settings, M.channels),
+        window=WindowSpec(settings["window_width"], settings["stride"]),
+        test_function=_test_function(settings["test_function"]),
+        use_residual=settings["use_residual"],
+        seed=settings["seed"],
+        deviation_rule=DeviationRule(settings["baseline_span"],
+                                     settings["threshold_sigmas"],
+                                     settings["alarms_enabled"]),
+        scale_mode=settings["scale_mode"],
+        eval_from=settings["eval_from"],
+        eval_to=settings["eval_to"],
+    )
+    report = run_rmt(M, cfg, snapshot_at=settings["snapshot_at"])
 
     out = _out_dir(args)
-    curves_path = out / "curves.csv"
-    with open(curves_path, "w", encoding="utf-8", newline="") as f:
-        f.write("t,les_raw,les_norm,msr_raw,msr_norm\n")
-        for j, t in enumerate(report.les_raw.times()):
-            f.write(",".join([
-                str(t),
-                _fmt(report.les_raw.values[j]),
-                _fmt(report.les_curve.values[j]),
-                _fmt(report.msr_raw.values[j]),
-                _fmt(report.msr_curve.values[j]),
-            ]) + "\n")
-
-    alarms_path = out / "alarms.jsonl"
-    with open(alarms_path, "w", encoding="utf-8", newline="") as f:
-        for alarm in report.alarms:
-            f.write(json.dumps({
-                "t": alarm.t,
-                "indicator": alarm.indicator,
-                "deviation_sigmas": alarm.deviation_sigmas,
-            }) + "\n")
-
-    outputs = [curves_path, alarms_path]
+    curves = zip(report.les_raw.times(), report.les_raw.values,
+                 report.les_curve.values, report.msr_raw.values,
+                 report.msr_curve.values)
+    outputs = [
+        _write_lines(out / "curves.csv", [
+            "t,les_raw,les_norm,msr_raw,msr_norm",
+            *(",".join([str(t), *map(_fmt, v)]) for t, *v in curves)]),
+        _write_lines(out / "alarms.jsonl",
+                     (json.dumps(dataclasses.asdict(a)) for a in report.alarms)),
+    ]
     for t, summary in sorted(report.spectral_snapshots.items()):
-        snap_path = out / f"snapshot_t{t}.json"
-        snap_path.write_text(
-            json.dumps(_summary_doc(t, summary), indent=2) + "\n",
-            encoding="utf-8")
-        outputs.append(snap_path)
+        doc = json.dumps(_summary_doc(t, summary), indent=2)
+        outputs.append(_write_lines(out / f"snapshot_t{t}.json", [doc]))
 
-    write_manifest(out, "detect-rmt", snapshot_doc, cfg.seed,
+    write_manifest(out, "detect-rmt", settings, cfg.seed,
                    {Path(args.data).name: Path(args.data)}, outputs, started)
     return 0
-
-
-def _sae_settings(doc: dict, args, channels: int):
-    section = doc.get("sae", {})
-    lift = _lift_for(channels, section, args.k)
-    span = section.get("train_span", [1, 200])
-    if not (isinstance(span, (list, tuple)) and len(span) == 2):
-        raise ConfigError(f"train_span must be a [start, end] pair, got {span!r}")
-    seed = args.seed if args.seed is not None else int(section.get("seed", 0))
-    train_cfg = TrainConfig(
-        learning_rate=float(section.get("learning_rate", 1e-4)),
-        max_iterations=int(section.get("max_iterations", 1000)),
-        seed=seed,
-    )
-    snapshot_doc = {
-        "k": lift.k, "n": lift.n,
-        "learning_rate": train_cfg.learning_rate,
-        "max_iterations": train_cfg.max_iterations,
-        "train_span": [int(span[0]), int(span[1])],
-        "seed": seed,
-    }
-    return lift, (int(span[0]), int(span[1])), train_cfg, snapshot_doc
 
 
 def cmd_detect_sae(args) -> int:
     started = time.monotonic()
     M = _load_data(args.data)
-    doc = load_config(args.config)
-    lift, span, train_cfg, snapshot_doc = _sae_settings(doc, args, M.channels)
+    settings = _settings(load_config(args.config), "sae", SAE_SCHEMA, args)
+    lift = _lift(settings, M.channels)
+    span = settings["train_span"]
+    train_cfg = TrainConfig(learning_rate=settings["learning_rate"],
+                            max_iterations=settings["max_iterations"],
+                            seed=settings["seed"])
     out = _out_dir(args)
     inputs = {Path(args.data).name: Path(args.data)}
 
@@ -328,99 +307,69 @@ def cmd_detect_sae(args) -> int:
         rmse = score_matrix(model, scaler, lifted.values[:, first:])
         times = range(span[1] + 1, span[1] + 1 + rmse.size)
         inputs[Path(args.checkpoint).name] = Path(args.checkpoint)
-        snapshot_doc = dict(snapshot_doc, checkpoint=Path(args.checkpoint).name)
+        settings["checkpoint"] = Path(args.checkpoint).name
         outputs = [_write_rmse(out, times, rmse)]
     else:
         result = run_sae_detailed(M, lift, train_span=span, cfg=train_cfg)
         rmse_path = _write_rmse(out, result.series.times(), result.series.values)
-        trace_path = out / "loss_trace.csv"
-        with open(trace_path, "w", encoding="utf-8", newline="") as f:
-            f.write("iteration,loss\n")
-            for i, loss in enumerate(result.trace.losses, start=1):
-                f.write(f"{i},{_fmt(loss)}\n")
+        trace_path = _write_lines(out / "loss_trace.csv", [
+            "iteration,loss",
+            *(f"{i},{_fmt(v)}" for i, v in enumerate(result.trace.losses, 1))])
         model_path = out / "model.json"
         save_checkpoint(result.model, result.scaler, model_path)
         outputs = [rmse_path, trace_path, model_path]
 
-    write_manifest(out, "detect-sae", snapshot_doc, train_cfg.seed,
+    write_manifest(out, "detect-sae", settings, train_cfg.seed,
                    inputs, outputs, started)
     return 0
 
 
 def _write_rmse(out: Path, times, values) -> Path:
-    path = out / "rmse.csv"
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("t,rmse\n")
-        for t, v in zip(times, values):
-            f.write(f"{t},{_fmt(v)}\n")
-    return path
+    return _write_lines(out / "rmse.csv", [
+        "t,rmse", *(f"{t},{_fmt(v)}" for t, v in zip(times, values))])
 
 
 def cmd_esd_check(args) -> int:
     started = time.monotonic()
     M = _load_data(args.data)
     doc = load_config(args.config)
-    section = doc.get("esd", {})
-    detector = doc.get("detector", {})
-    lift = _lift_for(M.channels, detector, args.k)
-    width = args.window if args.window is not None else int(
-        detector.get("window_width", 200))
-    use_residual = bool(section.get("use_residual", True))
-    if args.no_residual:
-        use_residual = False
-    seed = args.seed if args.seed is not None else int(section.get("seed", 0))
-
-    choice = args.snapshot_at
-    if choice is None:
-        listed = section.get("snapshot_at", [])
-        if len(listed) != 1:
+    # only the lift and the width come from the detector section
+    detector = _settings(doc, "detector", DETECTOR_SCHEMA, args)
+    lift = _lift(detector, M.channels)
+    esd = _settings(doc, "esd", ESD_SCHEMA, args)
+    choice = esd["snapshot_at"]
+    if not isinstance(choice, str):  # the config's list, not the flag
+        if len(choice) != 1:
             raise ConfigError(
-                f"config lists {len(listed)} snapshot times; pick one "
+                f"config lists {len(choice)} snapshot times; pick one "
                 "with --snapshot-at T (or --snapshot-at all)")
-        choice = str(listed[0])
+        choice = esd["snapshot_at"] = str(choice[0])
 
-    data = residual_matrix(M) if use_residual else M
+    data = residual_matrix(M) if esd["use_residual"] else M
     lifted = lift_matrix(data, lift, scale_mode="sqrt-dim")
-    t_last = lifted.t0 + lifted.samples - 1
     if choice == "all":
-        t = t_last
-        W = lifted.values
-        window_label = "all"
+        t, W, window = lifted.t0 + lifted.samples - 1, lifted.values, "all"
     else:
         try:
             t = int(choice)
         except ValueError as exc:
             raise ConfigError(f"bad --snapshot-at value {choice!r}") from exc
-        W = window_at(lifted, t, width)
-        window_label = width
-    summary = summarize_window(W, seed=(seed, t))
+        window = detector["window_width"]
+        W = window_at(lifted, t, window)
+    summary = summarize_window(W, seed=(esd["seed"], t))
 
     out = _out_dir(args)
-    summary_path = out / "summary.json"
-    doc_out = _summary_doc(t, summary)
-    doc_out["window"] = window_label
-    summary_path.write_text(json.dumps(doc_out, indent=2) + "\n",
-                            encoding="utf-8")
-
-    hist_path = out / "histogram.csv"
-    with open(hist_path, "w", encoding="utf-8", newline="") as f:
-        f.write("eigenvalue\n")
-        for lam in summary.covariance_eigs:
-            f.write(_fmt(lam) + "\n")
-
-    scatter_path = out / "ring_scatter.csv"
-    with open(scatter_path, "w", encoding="utf-8", newline="") as f:
-        f.write("re,im\n")
-        for z in summary.ring_eigs:
-            f.write(f"{_fmt(z.real)},{_fmt(z.imag)}\n")
-
-    config_doc = {
-        "k": lift.k, "n": lift.n, "window": window_label,
-        "use_residual": use_residual, "seed": seed, "snapshot_at": choice,
-    }
-    write_manifest(out, "esd-check", config_doc, seed,
-                   {Path(args.data).name: Path(args.data)},
-                   [summary_path, hist_path, scatter_path], started)
+    outputs = [
+        _write_lines(out / "summary.json", [json.dumps(
+            dict(_summary_doc(t, summary), window=window), indent=2)]),
+        _write_lines(out / "histogram.csv", [
+            "eigenvalue", *map(_fmt, summary.covariance_eigs)]),
+        _write_lines(out / "ring_scatter.csv", ["re,im", *(
+            f"{_fmt(z.real)},{_fmt(z.imag)}" for z in summary.ring_eigs)]),
+    ]
+    config = {"k": lift.k, "n": lift.n, "window": window, **esd}
+    write_manifest(out, "esd-check", config, esd["seed"],
+                   {Path(args.data).name: Path(args.data)}, outputs, started)
     return 0
 
 
@@ -440,6 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
                        "scenario name (case_a_step, case_b_ramp)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
+        if data:
+            p.add_argument("--k", type=int, help="number of Kronecker segments")
+
+    def window_flags(p):
+        p.add_argument("--window", type=int, dest="window_width",
+                       metavar="WINDOW", help="moving window width")
+        p.add_argument("--no-residual", action="store_false",
+                       dest="use_residual", default=None,
+                       help="skip temporal differencing")
 
     p = sub.add_parser("synth", help="generate a synthetic scenario matrix")
     common(p, data=False)
@@ -448,11 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect-rmt",
                        help="windowed spectral detector (LES and MSR curves)")
     common(p)
-    p.add_argument("--k", type=int, help="number of Kronecker segments")
-    p.add_argument("--window", type=int, help="moving window width")
-    p.add_argument("--no-residual", action="store_true",
-                   help="skip temporal differencing")
-    p.add_argument("--snapshot-at", metavar="T,...",
+    window_flags(p)
+    p.add_argument("--snapshot-at", metavar="T,...", type=_times,
                    help="comma-separated times for spectral snapshot JSONs")
     p.add_argument("--eval-from", type=int,
                    help="first time to evaluate; trimming keeps the raw "
@@ -464,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect-sae",
                        help="reconstruction-error detector (train or score)")
     common(p)
-    p.add_argument("--k", type=int, help="number of Kronecker segments")
     p.add_argument("--checkpoint",
                    help="score with an existing model instead of training")
     p.set_defaults(func=cmd_detect_sae)
@@ -472,10 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("esd-check",
                        help="one-window spectrum vs the reference laws")
     common(p)
-    p.add_argument("--k", type=int, help="number of Kronecker segments")
-    p.add_argument("--window", type=int, help="window width")
-    p.add_argument("--no-residual", action="store_true",
-                   help="skip temporal differencing")
+    window_flags(p)
     p.add_argument("--snapshot-at", metavar="T|all",
                    help="window end time, or 'all' for the whole record")
     p.set_defaults(func=cmd_esd_check)

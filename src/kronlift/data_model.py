@@ -1,4 +1,5 @@
-"""Core containers for measurement matrices, windows, and indicator curves.
+"""Core containers for measurement matrices, windows, and indicator curves,
+and the one reader for JSON config sections.
 
 Conventions used throughout the library:
   - data matrices are channels x samples (one column per sampling instant)
@@ -217,3 +218,56 @@ def save_matrix(D: SpatioTemporalMatrix, path) -> None:
             writer.writerow(
                 [str(D.t0 + j)] + [f"{x:.17g}" for x in D.values[:, j]]
             )
+
+
+def read_section(section, schema: dict, where: str) -> dict:
+    """The JSON object section read against schema: {key: (type, default)}.
+
+    A missing key takes its default; a given value goes through its type,
+    and null passes only where the default is None.  An unknown key, or a
+    value its type rejects with TypeError or ValueError, is a ConfigError
+    naming where.key.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    unknown = [f"{where}.{k}" for k in sorted(set(section) - set(schema))]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
+    for key, (kind, default) in schema.items():
+        value = section.get(key, default)
+        if key in section and not (value is None and default is None):
+            try:
+                if value is None:
+                    raise ValueError("null is not allowed here")
+                value = kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"{where}.{key}: bad value {value!r} ({exc})") from None
+        values[key] = value
+    return values
+
+
+def integer(value) -> int:
+    """An integer; 30.0 passes, 30.5, "30" and true do not."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def number(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise ValueError("expected a number")
+    return float(value)
+
+
+def boolean(value) -> bool:
+    """JSON true or false only: bool("no") would be True."""
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
+def list_of(item):
+    """The type of a JSON list whose entries have type item, as a tuple."""
+    return lambda value: tuple(map(item, value))

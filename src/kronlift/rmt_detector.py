@@ -273,6 +273,8 @@ def run_rmt(
         )
     times = np.arange(lo, hi + 1, cfg.window.stride)
     _check_baseline(cfg.deviation_rule, times.size)
+    # cut the snapshot windows first, so a bad time fails before any window runs
+    snap_windows = {int(t): window_at(lifted, int(t), width) for t in snapshot_at}
 
     les_vals, msr_vals = _evaluate_parallel(lifted, times, cfg)
 
@@ -286,12 +288,8 @@ def run_rmt(
     alarms += deviation_alarms(msr_norm, cfg.deviation_rule)
     alarms.sort(key=lambda a: (a.t, a.indicator))
 
-    snapshots: dict[int, SpectralSummary] = {}
-    for t in snapshot_at:
-        W = window_at(lifted, int(t), width)
-        snapshots[int(t)] = summarize_window(
-            W, seed=(cfg.seed, int(t)), weights=cfg.weights
-        )
+    snapshots = {t: summarize_window(W, seed=(cfg.seed, t), weights=cfg.weights)
+                 for t, W in snap_windows.items()}
     return DetectionReport(
         les_curve=les_norm,
         msr_curve=msr_norm,

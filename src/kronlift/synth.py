@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import SpatioTemporalMatrix
+from .data_model import (
+    SpatioTemporalMatrix,
+    boolean,
+    integer,
+    list_of,
+    number,
+    read_section,
+)
 from .errors import ConfigError, ParameterError
 
 ANOMALY_KINDS = ("step", "ramp")
@@ -185,49 +192,34 @@ def generate(cfg: ScenarioConfig) -> SpatioTemporalMatrix:
     return SpatioTemporalMatrix(values=D, channel_ids=ids, t0=1)
 
 
+def _baselines(value):  # one level for every channel, or one per channel
+    return number(value) if np.ndim(value) == 0 else list_of(number)(value)
+
+
+def _anomalies(value) -> tuple:
+    return tuple(
+        AnomalySpec(**read_section(e, ANOMALY_SCHEMA, f"scenario.anomalies[{i}]"))
+        for i, e in enumerate(value)
+    )
+
+
+ANOMALY_SCHEMA = {
+    "kind": (str, "step"), "onset": (integer, 501), "end": (integer, None),
+    "channels": (list_of(integer), ()), "magnitude": (number, 0.0),
+}
+NOISE_SCHEMA = {
+    "b": (number, 0.5), "snr": (number, 1000.0), "enabled": (boolean, True),
+}
+SCENARIO_SCHEMA = {
+    "channels": (integer, 28), "samples": (integer, 1000),
+    "baselines": (_baselines, 1.0), "white_sigma": (number, 1e-3),
+    "anomalies": (_anomalies, ()),
+    "noise": (lambda doc: NoiseConfig(**read_section(
+        doc, NOISE_SCHEMA, "scenario.noise")), NoiseConfig()),
+    "seed": (integer, 0),
+}
+
+
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document section."""
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario section must be an object")
-    known = {
-        "channels", "samples", "baselines", "white_sigma", "anomalies",
-        "noise", "seed",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    anomalies = []
-    for entry in doc.get("anomalies", []):
-        extra = set(entry) - {"kind", "onset", "end", "channels", "magnitude"}
-        if extra:
-            raise ConfigError(f"unknown anomaly fields: {sorted(extra)}")
-        anomalies.append(
-            AnomalySpec(
-                kind=entry.get("kind", "step"),
-                onset=int(entry.get("onset", 501)),
-                end=None if entry.get("end") is None else int(entry["end"]),
-                channels=tuple(entry.get("channels", ())),
-                magnitude=float(entry.get("magnitude", 0.0)),
-            )
-        )
-    noise_doc = doc.get("noise", {})
-    extra = set(noise_doc) - {"b", "snr", "enabled"}
-    if extra:
-        raise ConfigError(f"unknown noise fields: {sorted(extra)}")
-    noise = NoiseConfig(
-        b=float(noise_doc.get("b", 0.5)),
-        snr=float(noise_doc.get("snr", 1000.0)),
-        enabled=bool(noise_doc.get("enabled", True)),
-    )
-    baselines = doc.get("baselines", 1.0)
-    if isinstance(baselines, list):
-        baselines = tuple(float(x) for x in baselines)
-    return ScenarioConfig(
-        channels=int(doc.get("channels", 28)),
-        samples=int(doc.get("samples", 1000)),
-        baselines=baselines,
-        white_sigma=float(doc.get("white_sigma", 1e-3)),
-        anomalies=tuple(anomalies),
-        noise=noise,
-        seed=int(doc.get("seed", 0)),
-    )
+    return ScenarioConfig(**read_section(doc, SCENARIO_SCHEMA, "scenario"))

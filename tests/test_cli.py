@@ -98,6 +98,13 @@ class TestSynth:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("version", [2, True, "1"])
+    def test_bad_schema_version_exits_2(self, tmp_path, capsys, version):
+        cfg = write_config(tmp_path, {"schema_version": version})
+        assert main(["synth", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "schema_version" in capsys.readouterr().err
+
     def test_unknown_section_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"scenarios": {}})
         assert main(["synth", "--config", cfg,
@@ -338,6 +345,110 @@ class TestExitCodeMatrix:
         assert main(["detect-sae", data, "--config", cfg,
                      "--out", str(tmp_path / "o4")]) == 4
         capsys.readouterr()
+
+
+def with_section(name, **entries):
+    """SMALL_SCENARIO with entries written over section name."""
+    return dict(SMALL_SCENARIO, **{name: dict(SMALL_SCENARIO[name], **entries)})
+
+
+MALFORMED = [
+    # (command, config, text the error must contain)
+    ("detect-rmt", with_section("detector", window_widht=30),
+     "detector.window_widht"),
+    ("detect-sae", with_section("sae", learnig_rate=0.5), "sae.learnig_rate"),
+    ("esd-check", with_section("esd", sede=7), "esd.sede"),
+    ("detect-rmt", with_section("detector", use_residual="no"),
+     "detector.use_residual"),
+    ("detect-rmt", with_section("detector", alarms_enabled=0),
+     "detector.alarms_enabled"),
+    ("detect-rmt", with_section("detector", window_width="thirty"),
+     "detector.window_width"),
+    ("detect-rmt", with_section("detector", snapshot_at=5),
+     "detector.snapshot_at"),
+    ("detect-sae", with_section("sae", train_span=[1, "b"]),
+     "sae.train_span"),
+    ("detect-sae", with_section("sae", learning_rate=None),
+     "sae.learning_rate"),
+    ("esd-check", with_section("esd", seed="s"), "esd.seed"),
+    ("esd-check", with_section("esd", use_residual=1), "esd.use_residual"),
+    ("synth", with_section("scenario", channels="x"), "scenario.channels"),
+    ("synth", with_section("scenario", anomalies=[
+        {"kind": "step", "onset": "q", "channels": [1], "magnitude": 0.1}]),
+     "scenario.anomalies[0].onset"),
+    ("synth", with_section("scenario", noise=3), "scenario.noise"),
+    ("detect-rmt", dict(SMALL_SCENARIO, detector=5), "detector"),
+]
+
+
+@pytest.mark.parametrize("command,doc,where", MALFORMED,
+                         ids=[case[2] for case in MALFORMED])
+def test_malformed_config_exits_2(small_data, tmp_path, capsys,
+                                  command, doc, where):
+    data, _ = small_data
+    cfg = write_config(tmp_path, doc, name="malformed.json")
+    argv = [command] + ([] if command == "synth" else [data])
+    capsys.readouterr()
+    rc = main(argv + ["--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"kronlift {command}: ")
+    assert where in err
+    assert "Traceback" not in err
+
+
+MANIFEST_CONFIGS = [
+    (["synth"], {
+        "channels": 4, "samples": 60, "baselines": 1.0, "white_sigma": 0.01,
+        "anomalies": [], "noise": {"b": 0.5, "snr": 100.0, "enabled": True},
+        "seed": 3}),
+    (["detect-rmt", "DATA", "--eval-from", "35", "--eval-to", "45"], {
+        "k": 2, "n": 2, "window_width": 30, "stride": 1,
+        "test_function": "entropy", "use_residual": False,
+        "scale_mode": "sqrt-dim", "baseline_span": 5,
+        "threshold_sigmas": 5.0, "alarms_enabled": True, "seed": 0,
+        "eval_from": 35, "eval_to": 45, "snapshot_at": []}),
+    (["detect-rmt", "DATA", "--eval-from", "35", "--eval-to", "45",
+      "--k", "1", "--window", "20", "--seed", "5", "--snapshot-at", "40"], {
+        "k": 1, "n": 4, "window_width": 20, "stride": 1,
+        "test_function": "entropy", "use_residual": False,
+        "scale_mode": "sqrt-dim", "baseline_span": 5,
+        "threshold_sigmas": 5.0, "alarms_enabled": True, "seed": 5,
+        "eval_from": 35, "eval_to": 45, "snapshot_at": [40]}),
+    (["detect-sae", "DATA"], {
+        "k": 2, "n": 2, "learning_rate": 0.001, "max_iterations": 40,
+        "train_span": [1, 30], "seed": 0}),
+    (["esd-check", "DATA"], {
+        "k": 2, "n": 2, "window": 30, "use_residual": False, "seed": 0,
+        "snapshot_at": "40"}),
+    (["esd-check", "DATA", "--k", "1", "--window", "20", "--seed", "7",
+      "--snapshot-at", "all"], {
+        "k": 1, "n": 4, "window": "all", "use_residual": False, "seed": 7,
+        "snapshot_at": "all"}),
+]
+
+
+@pytest.mark.parametrize("argv,config", MANIFEST_CONFIGS,
+                         ids=[" ".join(a[:1] + a[2:]) for a, _ in MANIFEST_CONFIGS])
+def test_manifest_config_is_the_settings_run(small_data, tmp_path, argv,
+                                             config):
+    data, cfg = small_data
+    argv = [data if a == "DATA" else a for a in argv]
+    out = tmp_path / "o"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == config
+    assert manifest["seed"] == config["seed"]
+
+
+def test_no_residual_flag_writes_use_residual(small_data, tmp_path):
+    data, _ = small_data
+    cfg = write_config(tmp_path, with_section("esd", use_residual=True))
+    out = tmp_path / "o"
+    assert main(["esd-check", data, "--config", cfg, "--out", str(out),
+                 "--no-residual"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["use_residual"] is False
 
 
 @pytest.mark.skipif(shutil.which("kronlift") is None,

@@ -5,7 +5,12 @@ from kronlift.data_model import (
     LiftConfig,
     SpatioTemporalMatrix,
     WindowSpec,
+    boolean,
+    integer,
+    list_of,
     load_matrix,
+    number,
+    read_section,
     residual_matrix,
     save_matrix,
 )
@@ -168,3 +173,46 @@ class TestCsvRoundTrip:
         assert m2.channel_ids == m.channel_ids
         # 17-significant-digit rendering must round-trip float64 exactly
         np.testing.assert_array_equal(m2.values, m.values)
+
+
+class TestReadSection:
+    SCHEMA = {
+        "width": (integer, 200),
+        "rate": (number, 0.5),
+        "on": (boolean, True),
+        "times": (list_of(integer), ()),
+        "end": (integer, None),
+    }
+
+    def test_defaults_fill_in(self):
+        assert read_section({}, self.SCHEMA, "s") == {
+            "width": 200, "rate": 0.5, "on": True, "times": (), "end": None}
+
+    def test_values_converted(self):
+        got = read_section({"width": 30.0, "rate": 2, "on": False,
+                            "times": [4, 5], "end": 9}, self.SCHEMA, "s")
+        assert got == {"width": 30, "rate": 2.0, "on": False,
+                       "times": (4, 5), "end": 9}
+        assert type(got["width"]) is int and type(got["rate"]) is float
+
+    def test_null_only_where_default_is_null(self):
+        assert read_section({"end": None}, self.SCHEMA, "s")["end"] is None
+        with pytest.raises(ConfigError, match=r"^s\.rate: bad value None"):
+            read_section({"rate": None}, self.SCHEMA, "s")
+
+    @pytest.mark.parametrize("key,value", [
+        ("width", "30"), ("width", 30.5), ("width", True), ("rate", "1e-4"),
+        ("on", "no"), ("on", 0), ("on", 1), ("times", 5), ("times", [1, "b"]),
+    ])
+    def test_wrong_type_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^s\.{key}: bad value "):
+            read_section({key: value}, self.SCHEMA, "s")
+
+    def test_unknown_keys_named(self):
+        with pytest.raises(ConfigError, match=r"s\.widht, s\.zzz$"):
+            read_section({"zzz": 1, "widht": 3}, self.SCHEMA, "s")
+
+    @pytest.mark.parametrize("section", [5, [1], None, "x"])
+    def test_section_must_be_object(self, section):
+        with pytest.raises(ConfigError, match="^s must be a JSON object"):
+            read_section(section, self.SCHEMA, "s")

@@ -214,6 +214,17 @@ class TestSnapshots:
         with pytest.raises(WindowError):
             run_rmt(D, small_config(), snapshot_at=(5,))
 
+    def test_snapshot_checked_before_any_window(self, monkeypatch):
+        def kernel(*a, **kw):
+            raise AssertionError("window kernel called")
+
+        monkeypatch.setattr(rmt_detector, "window_spectra", kernel)
+        D = white_stm(6, 60, seed=11)
+        with pytest.raises(
+            WindowError, match=r"^window ending at t=5 needs t in \[13, 60\]$"
+        ):
+            run_rmt(D, small_config(), snapshot_at=(20, 5))
+
 
 class TestDetection:
     def test_big_step_alarms_at_onset_not_before(self):

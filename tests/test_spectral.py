@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
 from kronlift.errors import (
     DimensionError,
     NumericalError,
@@ -8,6 +9,8 @@ from kronlift.errors import (
     PreconditionError,
     StandardizationError,
 )
+from kronlift.lift import lift_matrix
+from kronlift.rmt_detector import window_at
 from kronlift.spectral import (
     CovarianceSpec,
     covariance_eigenvalues,
@@ -217,6 +220,20 @@ class TestRowStandardize:
         X[2] = np.arange(5)
         with pytest.raises(StandardizationError, match="row 0"):
             row_standardize(X)
+
+    def test_row_constant_up_to_rounding_is_dead(self):
+        # 6 white-noise channels frozen from t=18, k=2, n=3: the window
+        # ending at t=40 repeats one lifted column 12 times, yet with data
+        # seed 159 no row's computed std is exactly 0
+        vals = np.random.default_rng(159).standard_normal((6, 40))
+        vals[:, 17:] = vals[:, 17:18]
+        D = SpatioTemporalMatrix(values=vals, channel_ids=list("abcdef"))
+        lifted = lift_matrix(D, LiftConfig(k=2, n=3), scale_mode="sqrt-dim")
+        W = window_at(lifted, 40, 12)
+        assert np.all(W == W[:, :1])
+        assert np.all(W.std(axis=1) > 0.0)
+        with pytest.raises(StandardizationError, match="row 0"):
+            row_standardize(W)
 
 
 class TestHaarUnitary:
