@@ -108,17 +108,6 @@ def _forward_batch(weights, biases, X):
     return acts
 
 
-def forward(model: AutoencoderModel, x: np.ndarray):
-    """Reconstruct one sample; returns (reconstruction, activation cache)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.layer_sizes[0],):
-        raise DimensionError(
-            f"input length {x.size} != model dimension {model.layer_sizes[0]}"
-        )
-    acts = _forward_batch(model.weights, model.biases, x[None, :])
-    return acts[-1][0], [a[0] for a in acts]
-
-
 def _loss_grad(weights, biases, X):
     """Mean squared reconstruction error and its parameter gradients."""
     acts = _forward_batch(weights, biases, X)
@@ -221,17 +210,6 @@ def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
         seed=model.seed,
     )
     return trained, trace
-
-
-def rmse_of_error(e: np.ndarray) -> float:
-    e = np.asarray(e, dtype=float)
-    return float(np.sqrt(np.sum(e * e) / e.size))
-
-
-def rmse_indicator(model: AutoencoderModel, x: np.ndarray) -> float:
-    """Root mean squared reconstruction error of one (scaled) sample."""
-    recon, _ = forward(model, x)
-    return rmse_of_error(np.asarray(x, dtype=float) - recon)
 
 
 @dataclass(frozen=True)
@@ -357,26 +335,41 @@ def save_checkpoint(model: AutoencoderModel, scaler: MinMaxScaler, path) -> None
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (model, scaler)."""
+    """Inverse of save_checkpoint; returns (model, scaler).
+
+    A file that is not a readable checkpoint raises ConfigError naming it.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"checkpoint {path} is not a JSON object")
     if doc.get("schema_version") != CHECKPOINT_VERSION:
         raise ConfigError(
-            f"unsupported checkpoint version {doc.get('schema_version')}"
+            f"checkpoint {path}: unsupported version {doc.get('schema_version')}"
         )
-    model = AutoencoderModel(
-        layer_sizes=tuple(doc["layer_sizes"]),
-        weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-        seed=int(doc["seed"]),
-        activation=doc.get("activation", "sigmoid"),
-    )
-    sc = doc["scaler"]
-    scaler = MinMaxScaler(
-        lo=np.asarray(sc["lo"], dtype=float),
-        span=np.asarray(sc["span"], dtype=float),
-        flagged=np.asarray(sc["flagged"], dtype=bool),
-    )
+    try:
+        model = AutoencoderModel(
+            layer_sizes=tuple(doc["layer_sizes"]),
+            weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
+            biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
+            seed=int(doc["seed"]),
+            activation=doc.get("activation", "sigmoid"),
+        )
+        sc = doc["scaler"]
+        scaler = MinMaxScaler(
+            lo=np.asarray(sc["lo"], dtype=float),
+            span=np.asarray(sc["span"], dtype=float),
+            flagged=np.asarray(sc["flagged"], dtype=bool),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint {path} has no key {exc}") from exc
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint {path}: {exc}") from exc
+    d = (model.layer_sizes[0],)
+    if not scaler.lo.shape == scaler.span.shape == scaler.flagged.shape == d:
+        raise ConfigError(
+            f"malformed checkpoint {path}: scaler does not have {d[0]} coordinates"
+        )
     return model, scaler

@@ -154,8 +154,8 @@ def load_matrix(path) -> SpatioTemporalMatrix:
     """Load a CSV measurement matrix.
 
     Header row holds channel ids; each data row is one sampling instant.
-    An optional leading column named "t" carries integer sample indices
-    (only its first value is used, as t0; rows must be consecutive).
+    An optional leading column named "t" carries integer sample indices;
+    its first value is t0 and each later one must be the previous one + 1.
     """
     path = Path(path)
     if not path.exists():
@@ -170,7 +170,7 @@ def load_matrix(path) -> SpatioTemporalMatrix:
         has_t = bool(header) and header[0] == "t"
         ids = header[1:] if has_t else header
         rows = []
-        t_first = None
+        t_first = t_prev = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -181,13 +181,20 @@ def load_matrix(path) -> SpatioTemporalMatrix:
                 )
             if has_t:
                 t_val, row = row[0], row[1:]
+                try:
+                    t = int(t_val)
+                except ValueError:
+                    raise FormatError(
+                        f"{path}: line {lineno}: bad time index {t_val!r}"
+                    ) from None
                 if t_first is None:
-                    try:
-                        t_first = int(t_val)
-                    except ValueError:
-                        raise FormatError(
-                            f"{path}: line {lineno}: bad time index {t_val!r}"
-                        ) from None
+                    t_first = t
+                elif t != t_prev + 1:
+                    raise FormatError(
+                        f"{path}: line {lineno}: time index {t} does not "
+                        f"follow {t_prev}"
+                    )
+                t_prev = t
             try:
                 rows.append([float(x) for x in row])
             except ValueError as exc:

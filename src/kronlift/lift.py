@@ -38,45 +38,6 @@ class LiftedMatrix:
         return self.values.shape[1]
 
 
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors: out[(p)*len(b) + q] = a[p] * b[q]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise DimensionError("kronecker factors must be non-empty")
-    return (a[:, None] * b[None, :]).ravel()
-
-
-def normalize_segment(v: np.ndarray) -> np.ndarray:
-    """Scale v to unit Euclidean norm."""
-    v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise NormalizationError("cannot normalize zero segment")
-    return v / nrm
-
-
-def lift_column(d: np.ndarray, cfg: LiftConfig) -> np.ndarray:
-    """Lift one column: segment, normalize, Kronecker-multiply.
-
-    Segment l (1-based) is entries (l-1)*n .. l*n-1.  Output has unit norm.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (cfg.channels,):
-        raise DimensionError(
-            f"column length {d.size} does not match k*n = {cfg.channels}"
-        )
-    segments = d.reshape(cfg.k, cfg.n)
-    out = None
-    for l in range(cfg.k):
-        nrm = np.linalg.norm(segments[l])
-        if nrm == 0.0:
-            raise NormalizationError(f"zero segment {l + 1}")
-        u = segments[l] / nrm
-        out = u if out is None else kronecker(out, u)
-    return out
-
-
 def lift_matrix(
     D: SpatioTemporalMatrix,
     cfg: LiftConfig,

@@ -6,15 +6,19 @@ and MSR indicator curves plus robust-deviation alarms.
 
 Windows are independent (ring randomness is keyed by (seed, t)), so
 run_rmt splits them into contiguous chunks, one per worker, and
-evaluates all but the first chunk in forked children.  Workers are the
-CPUs the process may run on divided by the BLAS thread count, so a BLAS
-left to take every CPU gets the serial loop.  Each window runs the same
-code in whichever process evaluates it, so the curves do not depend on
-the worker count.
+evaluates all but the first chunk in forked children.  Every chunk
+writes its LES/MSR values into its own columns of one result buffer, an
+anonymous shared mapping, so children return nothing but an exit
+status.  Workers are the CPUs the process may run on divided by the BLAS
+thread count, so a BLAS left to take every CPU gets one chunk, evaluated
+in this process by the same loop.  Each window runs the same code in
+whichever process evaluates it, so the curves do not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import signal
 from dataclasses import dataclass, field, replace
@@ -134,10 +138,10 @@ def deviation_alarms(
 
 
 def _evaluate(
-    lifted: LiftedMatrix, times: np.ndarray, cfg: RmtDetectorConfig
-) -> np.ndarray:
-    """LES (row 0) and MSR (row 1) of the windows ending at times."""
-    out = np.empty((2, times.size))
+    lifted: LiftedMatrix, times: np.ndarray, cfg: RmtDetectorConfig,
+    out: np.ndarray,
+) -> None:
+    """Write LES (row 0) and MSR (row 1) of the windows ending at times."""
     for i, t in enumerate(times):
         W = window_at(lifted, int(t), cfg.window.width)
         try:
@@ -145,7 +149,6 @@ def _evaluate(
         except NumericalError as exc:
             raise NumericalError(f"window ending at t={t}: {exc}") from exc
         out[:, i] = les(cov_eigs, cfg.test_function), msr(ring_eigs)
-    return out
 
 
 def _worker_count() -> int:
@@ -168,78 +171,47 @@ def _worker_count() -> int:
     return 1
 
 
-def _fork_chunk(
-    lifted: LiftedMatrix, times: np.ndarray, cfg: RmtDetectorConfig
-) -> tuple[int, int] | None:
-    """Evaluate a chunk in a forked child; (pid, read end of its pipe).
-
-    The child writes its float64 values and exits 0, or exits 1 on any
-    failure, leaving the parent to reproduce the error.  It runs only
-    numpy and this module, takes no lock another thread could hold, and
-    leaves by os._exit, so fork is safe here; OpenBLAS stops its own
-    thread pool before each fork.  None when no child could be started.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with os.fdopen(w, "wb") as f:
-                f.write(_evaluate(lifted, times, cfg).tobytes())
-            code = 0
-        finally:
-            os._exit(code)  # skip the parent's exit handlers and buffers
-    os.close(w)
-    return pid, r
-
-
-def _collect(pid: int, fd: int, windows: int) -> np.ndarray | None:
-    """Values a child wrote, or None when it failed; reaps the child."""
-    try:
-        with os.fdopen(fd, "rb") as f:
-            data = f.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0 or len(data) != 16 * windows:
-        return None
-    return np.frombuffer(data).reshape(2, windows)
-
-
 def _evaluate_parallel(
     lifted: LiftedMatrix, times: np.ndarray, cfg: RmtDetectorConfig
 ) -> np.ndarray:
     """_evaluate over contiguous chunks, one per worker, the first here.
 
-    A chunk whose child failed or never started is evaluated again here,
-    so an error surfaces exactly as the serial loop raises it.
+    Each chunk fills its own columns of one shared anonymous mapping.  A
+    forked child runs only numpy and this module, takes no lock another
+    thread could hold, and leaves by os._exit, so fork is safe here;
+    OpenBLAS stops its own thread pool before each fork.  A chunk whose
+    child did not exit 0 or never started is evaluated again here, in
+    chunk order, so an error surfaces exactly as the serial loop raises it.
     """
-    chunks = np.array_split(times, min(_worker_count(), times.size))
-    if len(chunks) < 2 or not hasattr(os, "fork"):
-        return _evaluate(lifted, times, cfg)
-    children: list[tuple[int, int] | None] = []
-    parts: list[np.ndarray | None] = [None] * len(chunks)
+    workers = min(_worker_count(), times.size) if hasattr(os, "fork") else 1
+    out = np.frombuffer(mmap.mmap(-1, 16 * times.size)).reshape(2, -1)
+    chunks = np.array_split(times, workers)
+    dests = np.array_split(out, workers, axis=1)  # views into out
+    pids: dict[int, int] = {}  # chunk index -> child pid
     try:
-        for chunk in chunks[1:]:
-            children.append(_fork_chunk(lifted, chunk, cfg))
-        parts[0] = _evaluate(lifted, chunks[0], cfg)
+        for j in range(1, workers):
+            try:
+                pids[j] = os.fork()
+            except OSError:
+                continue
+            if pids[j] == 0:
+                code = 1
+                try:
+                    _evaluate(lifted, chunks[j], cfg, dests[j])
+                    code = 0
+                finally:
+                    os._exit(code)  # skip the parent's exit handlers and buffers
+        _evaluate(lifted, chunks[0], cfg, dests[0])
     except BaseException:
-        for child in filter(None, children):
-            os.kill(child[0], signal.SIGKILL)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for j, child in enumerate(children, start=1):
-            if child is not None:
-                parts[j] = _collect(*child, chunks[j].size)
-    for j, part in enumerate(parts):
-        if part is None:
-            parts[j] = _evaluate(lifted, chunks[j], cfg)
-    return np.concatenate(parts, axis=1)
+        status = {j: os.waitpid(pid, 0)[1] for j, pid in pids.items()}
+    for j in range(1, workers):
+        if status.get(j, 1) != 0:  # failed, or never forked
+            _evaluate(lifted, chunks[j], cfg, dests[j])
+    return out
 
 
 def run_rmt(

@@ -57,9 +57,9 @@ class SpectralSummary:
     ring_coverage: float
 
 
-@lru_cache(maxsize=4)
-def _gauss_legendre(order: int):
-    return np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    return np.polynomial.legendre.leggauss(256)
 
 
 class MarchenkoPastur:
@@ -72,7 +72,7 @@ class MarchenkoPastur:
     accurate to machine precision.
     """
 
-    def __init__(self, c: float, sigma2: float = 1.0, quad_order: int = 256):
+    def __init__(self, c: float, sigma2: float = 1.0):
         if not (c > 0.0) or not np.isfinite(c):
             raise ParameterError(f"mp_law ratio c must be positive, got {c}")
         if not (sigma2 > 0.0) or not np.isfinite(sigma2):
@@ -83,21 +83,10 @@ class MarchenkoPastur:
         self._a = sigma2 * (1.0 - sc) ** 2
         self._b = sigma2 * (1.0 + sc) ** 2
         self.atom_at_zero = max(0.0, 1.0 - 1.0 / c)
-        self._quad_order = quad_order
 
     @property
     def support(self) -> tuple[float, float]:
         return (self._a, self._b)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = (x > self._a) & (x < self._b) & (x > 0.0)
-        xi = x[inside]
-        out[inside] = np.sqrt((self._b - xi) * (xi - self._a)) / (
-            2.0 * np.pi * self.sigma2 * self.c * xi
-        )
-        return out if out.ndim else float(out)
 
     def _continuous_cdf(self, x):
         """Mass of the density on [a, x], vectorized over x inside support."""
@@ -106,7 +95,7 @@ class MarchenkoPastur:
         sc = np.sqrt(c)
         arg = np.clip((y - 1.0 - c) / (2.0 * sc), -1.0, 1.0)
         theta = np.arcsin(arg)
-        nodes, wts = _gauss_legendre(self._quad_order)
+        nodes, wts = _gauss_legendre()
         # map [-pi/2, theta] onto the reference interval per evaluation point
         half = 0.5 * (theta + 0.5 * np.pi)
         t = -0.5 * np.pi + half[..., None] * (nodes + 1.0)
@@ -205,12 +194,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))  # phase correction fixes the QR gauge
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def singular_value_equivalent(
     X: np.ndarray, seed, *, row_normalize: bool = True
 ) -> np.ndarray:
@@ -235,7 +218,7 @@ def singular_value_equivalent(
         raise NumericalError(f"square-root eigendecomposition failed: {exc}") from exc
     w = np.clip(w, 0.0, None)
     root = (V * np.sqrt(w)) @ V.T
-    U = haar_unitary(p, _as_rng(seed))
+    U = haar_unitary(p, np.random.default_rng(seed))
     Xu = root @ U
     if row_normalize:
         rv = Xu.var(axis=1)
@@ -245,17 +228,12 @@ def singular_value_equivalent(
     return Xu
 
 
-def ring_coverage(
-    ring_eigs: np.ndarray,
-    inner: float,
-    lo_slack: float = RING_INNER_SLACK,
-    hi: float = RING_OUTER_EDGE,
-) -> float:
-    """Fraction of eigenvalue moduli inside [inner - lo_slack, hi]."""
+def ring_coverage(ring_eigs: np.ndarray, inner: float) -> float:
+    """Fraction of eigenvalue moduli in [inner - RING_INNER_SLACK, RING_OUTER_EDGE]."""
     r = np.abs(np.asarray(ring_eigs))
     if r.size == 0:
         raise DimensionError("empty ring spectrum")
-    return float(np.mean((r >= inner - lo_slack) & (r <= hi)))
+    return float(np.mean((r >= inner - RING_INNER_SLACK) & (r <= RING_OUTER_EDGE)))
 
 
 def esd_ks_distance(eigs: np.ndarray, law) -> float:
@@ -315,7 +293,6 @@ def summarize_window(
     *,
     seed,
     weights: CovarianceSpec | None = None,
-    sigma2: float = 1.0,
 ) -> SpectralSummary:
     """Full spectral summary of one dim x N' window.
 
@@ -327,7 +304,7 @@ def summarize_window(
     W = np.asarray(W, dtype=float)
     dim, n_cols = W.shape
     cov_eigs, ring_eigs = window_spectra(W, seed, weights)
-    law = mp_law(dim / n_cols, sigma2)  # the one dim/samples conversion site
+    law = mp_law(dim / n_cols)  # the one dim/samples conversion site
     ks = esd_ks_distance(cov_eigs, law)
     inner = ring_reference(min(dim, n_cols) / max(dim, n_cols))[0]
     coverage = ring_coverage(ring_eigs, inner)

@@ -6,10 +6,8 @@ from kronlift.autoencoder import (
     AutoencoderModel,
     TrainConfig,
     fit_scaler,
-    forward,
     init_model,
     load_checkpoint,
-    rmse_indicator,
     run_sae,
     run_sae_detailed,
     save_checkpoint,
@@ -18,6 +16,7 @@ from kronlift.autoencoder import (
 )
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
 from kronlift.errors import ConfigError, DimensionError, DivergenceError
+from oracles import forward, rmse_indicator, rmse_of_error
 
 
 def stm(values, t0=1):
@@ -219,15 +218,11 @@ class TestRmseIndicator:
 
     def test_error_three_four(self):
         # direct formula on a crafted error vector via the brute force path
-        from kronlift.autoencoder import rmse_of_error
-
         assert rmse_of_error(np.array([3.0, 4.0])) == pytest.approx(
             3.5355339059327378
         )
 
     def test_constant_error(self):
-        from kronlift.autoencoder import rmse_of_error
-
         assert rmse_of_error(np.full(9, -0.2)) == pytest.approx(0.2)
 
     def test_matches_brute_force(self):

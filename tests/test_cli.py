@@ -260,6 +260,28 @@ class TestDetectSae:
                    "--checkpoint", str(train_out / "model.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"schema_version": 1}, "has no key 'layer_sizes'"),
+        ([1, 2], "is not a JSON object"),
+        ("truncated scaler", "scaler does not have 4 coordinates"),
+    ])
+    def test_malformed_checkpoint_exits_2(self, small_data, tmp_path, capsys,
+                                          doc, message):
+        data, cfg = small_data
+        ckpt = tmp_path / "model.json"
+        if doc == "truncated scaler":
+            main(["detect-sae", data, "--config", cfg, "--out", str(tmp_path)])
+            doc = json.loads(ckpt.read_text())
+            doc["scaler"]["lo"].pop()
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["detect-sae", data, "--config", cfg,
+                   "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("kronlift detect-sae: ")
+        assert str(ckpt) in err and message in err
+
     def test_divergence_maps_to_exit_4(self, small_data, tmp_path,
                                        monkeypatch, capsys):
         data, cfg = small_data

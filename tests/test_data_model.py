@@ -139,6 +139,20 @@ class TestCsvRoundTrip:
         assert m.channels == 2
         np.testing.assert_array_equal(m.values, [[1.0, 3.0], [2.0, 4.0]])
 
+    @pytest.mark.parametrize("times,line,message", [
+        (("1", "5", "xx"), 3, "time index 5 does not follow 1"),
+        (("1", "2", "xx"), 4, "bad time index 'xx'"),
+        (("3", "2", "3"), 3, "time index 2 does not follow 3"),
+        (("1", "2", "2.5"), 4, "bad time index '2.5'"),
+    ])
+    def test_time_column_must_count_up_by_one(self, tmp_path, times, line,
+                                              message):
+        p = tmp_path / "d.csv"
+        p.write_text("t,c1,c2\n" + "".join(f"{t},1,2\n" for t in times))
+        with pytest.raises(FormatError) as info:
+            load_matrix(p)
+        assert str(info.value) == f"{p}: line {line}: {message}"
+
     def test_empty_data_section(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("c1,c2\n")

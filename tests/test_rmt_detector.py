@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 from importlib import resources
 
 import numpy as np
@@ -393,6 +394,44 @@ class TestParallelWindows:
         _workers(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", no_fork)
         assert _raw(run_rmt(D, cfg)) == _raw(serial)
+
+    def test_killed_child_slice_is_rerun(self, monkeypatch):
+        real_evaluate = rmt_detector._evaluate
+        parent = os.getpid()
+
+        def evaluate(lifted, times, cfg, out):
+            if os.getpid() != parent:  # a child: half-written garbage, then death
+                out[:, : out.shape[1] // 2] = -1234.5
+                os.kill(os.getpid(), signal.SIGKILL)
+            real_evaluate(lifted, times, cfg, out)
+
+        D = white_stm(6, 60, seed=24)
+        cfg = small_config(deviation_rule=DeviationRule(enabled=False))
+        _workers(monkeypatch, 1)
+        serial = run_rmt(D, cfg)
+        monkeypatch.setattr(rmt_detector, "_evaluate", evaluate)
+        _workers(monkeypatch, 3)
+        assert _raw(run_rmt(D, cfg)) == _raw(serial)
+        _no_children_left()
+
+    def test_earliest_failing_window_raises(self, monkeypatch):
+        # windows end at t=13..60; with 3 workers t=30 and t=55 fall in the
+        # first and the second child's chunks, so both children fail
+        real_kernel = rmt_detector.window_spectra
+
+        def kernel(W, seed, weights):
+            if seed[1] in (30, 55):
+                raise NumericalError("injected")
+            return real_kernel(W, seed, weights)
+
+        monkeypatch.setattr(rmt_detector, "window_spectra", kernel)
+        D = white_stm(6, 60, seed=25)
+        for n in (1, 3):
+            _workers(monkeypatch, n)
+            with pytest.raises(NumericalError,
+                               match="^window ending at t=30: injected$"):
+                run_rmt(D, small_config())
+            _no_children_left()
 
     @pytest.mark.parametrize("freeze_from", [30, 60])
     def test_frozen_span_raises_serial_error(self, monkeypatch, freeze_from):
