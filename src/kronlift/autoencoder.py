@@ -44,6 +44,11 @@ class AutoencoderModel:
                 f"parameter shapes {got_w}/{got_b} do not match layer sizes "
                 f"{sizes}"
             )
+        if self.activation != "sigmoid":
+            raise ConfigError(
+                f"activation {self.activation!r} is not supported; "
+                "the network applies the sigmoid"
+            )
         object.__setattr__(self, "layer_sizes", sizes)
 
 
@@ -57,10 +62,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if not self.epsilon > 0:
+            raise ConfigError("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -70,13 +80,19 @@ class TrainingTrace:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function, exp(min(z, 0)) / (1 + exp(-|z|)).
+
+    Branch-free, with the two-sided form's IEEE operations per element:
+    1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    den = np.abs(z)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.minimum(z, 0.0)
+    np.exp(out, out=out)
+    out /= den
     return out
 
 
@@ -103,26 +119,40 @@ def _forward_batch(weights, biases, X):
     acts = [X]
     a = X
     for W, b in zip(weights, biases):
-        a = sigmoid(a @ W + b)
+        z = a @ W
+        z += b
+        a = sigmoid(z)
         acts.append(a)
     return acts
 
 
 def _loss_grad(weights, biases, X):
-    """Mean squared reconstruction error and its parameter gradients."""
+    """Mean squared reconstruction error and its parameter gradients.
+
+    The backward pass works in place on its temporaries, keeping each
+    product's left-to-right order, so the bytes match the plain
+    expressions (2/(m d)) * E * Y * (1 - Y) and (delta @ W.T) * a * (1 - a).
+    """
     acts = _forward_batch(weights, biases, X)
     Y = acts[-1]
     E = Y - X
     m, d = X.shape
     loss = float(np.sum(E * E) / (m * d))
-    delta = (2.0 / (m * d)) * E * Y * (1.0 - Y)  # sigmoid output layer
+    delta = E  # the loss is taken, so E becomes scratch
+    delta *= 2.0 / (m * d)
+    delta *= Y
+    delta *= 1.0 - Y  # sigmoid output layer
     gW = [None] * len(weights)
     gb = [None] * len(weights)
     for l in range(len(weights) - 1, -1, -1):
         gW[l] = acts[l].T @ delta
         gb[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ weights[l].T) * acts[l] * (1.0 - acts[l])
+            a = acts[l]  # not read again after this layer
+            delta = delta @ weights[l].T
+            delta *= a
+            np.subtract(1.0, a, out=a)
+            delta *= a
     return loss, gW, gb
 
 
@@ -132,7 +162,11 @@ def loss_and_gradients(model: AutoencoderModel, X: np.ndarray):
 
 
 class AdamState:
-    """Adam with bias correction over a flat list of parameter arrays."""
+    """Adam with bias correction over a flat list of parameter arrays.
+
+    The update runs on one flat vector, in place, in the textbook order of
+    operations, so its bytes match a per-array update.
+    """
 
     def __init__(self, shapes, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.lr = learning_rate
@@ -140,25 +174,38 @@ class AdamState:
         self.b2 = beta2
         self.eps = epsilon
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.shapes = [tuple(s) for s in shapes]
+        sizes = [int(np.prod(s)) for s in self.shapes]
+        ends = np.cumsum(sizes).tolist()
+        self.slices = [slice(e - n, e) for n, e in zip(sizes, ends)]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros(sum(sizes))
 
     @classmethod
     def for_params(cls, params, learning_rate, **kw):
         return cls([p.shape for p in params], learning_rate, **kw)
 
     def step(self, params, grads):
+        """New parameter arrays; params and grads are left unchanged."""
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * (g * g)
-            mhat = self.m[i] / c1
-            vhat = self.v[i] / c2
-            out.append(p - self.lr * mhat / (np.sqrt(vhat) + self.eps))
-        return out
+        g = np.concatenate([x.ravel() for x in grads])
+        self.m *= self.b1
+        self.m += (1.0 - self.b1) * g
+        g *= g
+        g *= 1.0 - self.b2
+        self.v *= self.b2
+        self.v += g
+        update = self.m / c1
+        update *= self.lr
+        den = self.v / c2
+        np.sqrt(den, out=den)
+        den += self.eps
+        update /= den
+        flat = np.concatenate([x.ravel() for x in params])
+        flat -= update
+        return [flat[sl].reshape(s) for sl, s in zip(self.slices, self.shapes)]
 
 
 def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):

@@ -3,12 +3,15 @@
 Each one computes, one sample or one point at a time, something the
 library computes vectorized: the lift of a single column, the
 Marchenko-Pastur density, one sample's reconstruction and its RMSE.
-None of them is used by the library itself.
+The autoencoder's training kernel has references too: the two-sided
+masked sigmoid and the plain full-batch Adam loop, written with
+out-of-place expressions, which the library's in-place kernel must
+match bit for bit.  None of them is used by the library itself.
 """
 
 import numpy as np
 
-from kronlift.autoencoder import AutoencoderModel, sigmoid
+from kronlift.autoencoder import AutoencoderModel, TrainConfig
 from kronlift.data_model import LiftConfig
 from kronlift.errors import DimensionError, NormalizationError
 from kronlift.spectral import MarchenkoPastur
@@ -66,6 +69,61 @@ def mp_pdf(law: MarchenkoPastur, x):
     return out if out.ndim else float(out)
 
 
+def sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    """Two-sided logistic: 1/(1+exp(-z)) where z >= 0, else exp(z)/(1+exp(z))."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def train_reference(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
+    """Full-batch Adam written out plainly; (weights, biases, losses).
+
+    data is coords x samples.  Every expression allocates its result, in
+    the order the library's in-place kernel must reproduce.
+    """
+    X = np.asarray(data, dtype=float).T
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    n_layers = len(weights)
+    params = weights + biases
+    m = [np.zeros(p.shape) for p in params]
+    v = [np.zeros(p.shape) for p in params]
+    losses = np.empty(cfg.max_iterations)
+    for it in range(cfg.max_iterations):
+        acts = [X]
+        for W, b in zip(weights, biases):
+            acts.append(sigmoid_reference(acts[-1] @ W + b))
+        Y = acts[-1]
+        E = Y - X
+        rows, d = X.shape
+        losses[it] = float(np.sum(E * E) / (rows * d))
+        delta = (2.0 / (rows * d)) * E * Y * (1.0 - Y)
+        gW = [None] * n_layers
+        gb = [None] * n_layers
+        for l in range(n_layers - 1, -1, -1):
+            gW[l] = acts[l].T @ delta
+            gb[l] = delta.sum(axis=0)
+            if l > 0:
+                delta = (delta @ weights[l].T) * acts[l] * (1.0 - acts[l])
+        t = it + 1
+        c1 = 1.0 - cfg.beta1**t
+        c2 = 1.0 - cfg.beta2**t
+        new = []
+        for i, (p, g) in enumerate(zip(weights + biases, gW + gb)):
+            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
+            v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * (g * g)
+            mhat = m[i] / c1
+            vhat = v[i] / c2
+            new.append(p - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.epsilon))
+        weights, biases = new[:n_layers], new[n_layers:]
+    return weights, biases, losses
+
+
 def forward(model: AutoencoderModel, x: np.ndarray):
     """Reconstruct one sample layer by layer; (reconstruction, activations)."""
     x = np.asarray(x, dtype=float)
@@ -75,7 +133,7 @@ def forward(model: AutoencoderModel, x: np.ndarray):
         )
     acts = [x]
     for W, b in zip(model.weights, model.biases):
-        acts.append(sigmoid(acts[-1] @ W + b))
+        acts.append(sigmoid_reference(acts[-1] @ W + b))
     return acts[-1], acts
 
 

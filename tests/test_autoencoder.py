@@ -16,7 +16,13 @@ from kronlift.autoencoder import (
 )
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
 from kronlift.errors import ConfigError, DimensionError, DivergenceError
-from oracles import forward, rmse_indicator, rmse_of_error
+from oracles import (
+    forward,
+    rmse_indicator,
+    rmse_of_error,
+    sigmoid_reference,
+    train_reference,
+)
 
 
 def stm(values, t0=1):
@@ -70,6 +76,20 @@ class TestSigmoidAndForward:
         assert vals[1] == 0.5
         assert vals[2] == 1.0
         assert np.all(np.isfinite(vals))
+
+    @pytest.mark.parametrize("cols", [196, 48, 24])
+    def test_sigmoid_matches_reference_bit_for_bit(self, cols):
+        rng = np.random.default_rng(cols)
+        z = rng.normal(0.0, 8.0, size=(200, cols))
+        specials = [0.0, -0.0, 700.0, -700.0, 745.0, -745.0, np.inf, -np.inf]
+        z.flat[: len(specials)] = specials
+        z[-1, :] = np.linspace(-40.0, 40.0, cols)
+        assert sigmoid(z).tobytes() == sigmoid_reference(z).tobytes()
+
+    def test_sigmoid_nan_in_nan_out(self):
+        vals = sigmoid(np.array([np.nan, -1.0, 1.0]))
+        assert np.isnan(vals[0])
+        np.testing.assert_array_equal(vals[1:], sigmoid_reference([-1.0, 1.0]))
 
     def test_zero_parameters_give_half(self):
         m = init_model(5, seed=0)
@@ -147,6 +167,17 @@ class TestAdam:
         for p, s in zip(params, stepped):
             np.testing.assert_array_equal(p, s)
 
+    def test_step_leaves_arguments_unchanged(self):
+        params = [np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([0.25])]
+        grads = [np.array([[0.1, -0.2], [0.3, 0.0]]), np.array([-1.0])]
+        before = [a.copy() for a in params + grads]
+        state = AdamState.for_params(params, learning_rate=0.1)
+        stepped = state.step(params, grads)
+        for a, b in zip(params + grads, before):
+            np.testing.assert_array_equal(a, b)
+        assert [s.shape for s in stepped] == [(2, 2), (1,)]
+        assert not np.array_equal(stepped[0], params[0])
+
     def test_step_direction(self):
         params = [np.array([1.0])]
         state = AdamState.for_params(params, learning_rate=0.01)
@@ -181,6 +212,28 @@ class TestTrain:
         np.testing.assert_array_equal(ta.losses, tb.losses)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
+
+    @pytest.mark.parametrize("d,m,iterations", [(28, 200, 300), (196, 200, 20)])
+    def test_matches_reference_bit_for_bit(self, d, m, iterations):
+        rng = np.random.default_rng(d)
+        X = rng.uniform(0.0, 1.0, size=(d, m))  # coords x samples
+        model = init_model(d, seed=5)
+        cfg = TrainConfig(learning_rate=1e-3, max_iterations=iterations)
+        trained, trace = train(model, X, cfg)
+        weights, biases, losses = train_reference(model, X, cfg)
+        assert trace.losses.tobytes() == losses.tobytes()
+        for got, want in zip(trained.weights + trained.biases, weights + biases):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", 1.0), ("beta1", -0.5), ("beta2", 1.5), ("beta2", 1.0),
+        ("epsilon", 0.0), ("epsilon", -1e-8), ("epsilon", np.nan),
+        ("learning_rate", np.nan), ("learning_rate", np.inf),
+    ])
+    def test_bad_adam_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):

@@ -264,15 +264,20 @@ class TestDetectSae:
         ({"schema_version": 1}, "has no key 'layer_sizes'"),
         ([1, 2], "is not a JSON object"),
         ("truncated scaler", "scaler does not have 4 coordinates"),
+        ("relu activation", "activation 'relu' is not supported"),
     ])
     def test_malformed_checkpoint_exits_2(self, small_data, tmp_path, capsys,
                                           doc, message):
         data, cfg = small_data
         ckpt = tmp_path / "model.json"
-        if doc == "truncated scaler":
+        if doc in ("truncated scaler", "relu activation"):
             main(["detect-sae", data, "--config", cfg, "--out", str(tmp_path)])
-            doc = json.loads(ckpt.read_text())
-            doc["scaler"]["lo"].pop()
+            trained = json.loads(ckpt.read_text())
+            if doc == "truncated scaler":
+                trained["scaler"]["lo"].pop()
+            else:
+                trained["activation"] = "relu"
+            doc = trained
         ckpt.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["detect-sae", data, "--config", cfg,
@@ -392,6 +397,8 @@ MALFORMED = [
      "sae.train_span"),
     ("detect-sae", with_section("sae", learning_rate=None),
      "sae.learning_rate"),
+    ("detect-sae", with_section("sae", learning_rate=float("nan")),
+     "learning_rate must be positive and finite"),
     ("esd-check", with_section("esd", seed="s"), "esd.seed"),
     ("esd-check", with_section("esd", use_residual=1), "esd.use_residual"),
     ("synth", with_section("scenario", channels="x"), "scenario.channels"),
