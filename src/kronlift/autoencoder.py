@@ -12,6 +12,7 @@ samples x coords so that a layer is a plain X @ W + b.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,21 +80,27 @@ class TrainingTrace:
     iterations_to_tolerance: int | None  # first step count within 110% of final
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, exp(min(z, 0)) / (1 + exp(-|z|)).
+def _sigmoid(z: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """z <- sigmoid(z) in place, with den (z's shape) as scratch.
 
-    Branch-free, with the two-sided form's IEEE operations per element:
-    1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below.
+    Branch-free exp(min(z, 0)) / (1 + exp(-|z|)), with the two-sided
+    form's IEEE operations per element: 1/(1+exp(-z)) for z >= 0 and
+    exp(z)/(1+exp(z)) below.
     """
-    z = np.asarray(z, dtype=float)
-    den = np.abs(z)
+    np.abs(z, out=den)
     np.negative(den, out=den)
     np.exp(den, out=den)
     den += 1.0
-    out = np.minimum(z, 0.0)
-    np.exp(out, out=out)
-    out /= den
-    return out
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= den
+    return z
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function of a new array."""
+    out = np.array(z, dtype=float)
+    return _sigmoid(out, np.empty_like(out))
 
 
 def init_model(d: int, seed: int, layer_sizes=None) -> AutoencoderModel:
@@ -114,50 +121,101 @@ def init_model(d: int, seed: int, layer_sizes=None) -> AutoencoderModel:
     )
 
 
-def _forward_batch(weights, biases, X):
-    """X is samples x coords; returns all activations, input first."""
-    acts = [X]
-    a = X
-    for W, b in zip(weights, biases):
-        z = a @ W
-        z += b
-        a = sigmoid(z)
-        acts.append(a)
-    return acts
+def _views(flat: np.ndarray, shapes) -> list:
+    """Consecutive C-contiguous views of flat, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
-def _loss_grad(weights, biases, X):
-    """Mean squared reconstruction error and its parameter gradients.
+class _Workspace:
+    """Every buffer one training step writes, for one network and batch.
 
-    The backward pass works in place on its temporaries, keeping each
-    product's left-to-right order, so the bytes match the plain
-    expressions (2/(m d)) * E * Y * (1 - Y) and (delta @ W.T) * a * (1 - a).
+    theta holds all weights, then all biases, as one flat vector, and grad
+    their gradients; params and grads are per-array views of the two.
+    acts[l] is layer l's output, deltas[l] its backward delta and dens[l]
+    the sigmoid's scratch for it, all in one block.  A step allocates
+    nothing: each expression writes into these buffers in the operand
+    order of the plain out-of-place one, so the bytes match it.
     """
-    acts = _forward_batch(weights, biases, X)
-    Y = acts[-1]
-    E = Y - X
-    m, d = X.shape
-    loss = float(np.sum(E * E) / (m * d))
-    delta = E  # the loss is taken, so E becomes scratch
-    delta *= 2.0 / (m * d)
-    delta *= Y
-    delta *= 1.0 - Y  # sigmoid output layer
-    gW = [None] * len(weights)
-    gb = [None] * len(weights)
-    for l in range(len(weights) - 1, -1, -1):
-        gW[l] = acts[l].T @ delta
-        gb[l] = delta.sum(axis=0)
-        if l > 0:
-            a = acts[l]  # not read again after this layer
-            delta = delta @ weights[l].T
+
+    def __init__(self, params, rows: int):
+        self.shapes = [p.shape for p in params]
+        self.layers = len(params) // 2
+        self.theta = np.concatenate([p.ravel() for p in params])
+        self.grad = np.empty_like(self.theta)
+        self.params = _views(self.theta, self.shapes)
+        self.grads = _views(self.grad, self.shapes)
+        shapes = [(rows, W.shape[1]) for W in params[: self.layers]]
+        size = rows * max(n for _, n in shapes)
+        block = np.empty(rows * sum(n for _, n in shapes) + 2 * size)
+        *self.acts, s, t = _views(block, [*shapes, (size,), (size,)])
+        # the output delta sits in t while s holds its squares; each
+        # delta is computed from the next layer's, so they alternate
+        self.dens = [s[: rows * n].reshape(rows, n) for _, n in shapes]
+        self.deltas = [
+            (s, t)[(self.layers - j) % 2][: rows * n].reshape(rows, n)
+            for j, (_, n) in enumerate(shapes)
+        ]
+
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Run X (samples x coords) through the layers; returns the output."""
+        L = self.layers
+        a = X
+        for W, b, z, den in zip(
+            self.params[:L], self.params[L:], self.acts, self.dens
+        ):
+            np.matmul(a, W, out=z)
+            z += b
+            a = _sigmoid(z, den)
+        return a
+
+    def loss_grad(self, X: np.ndarray) -> float:
+        """Mean squared reconstruction error of X at theta, gradient to grad.
+
+        The backward pass spends each sigmoid output as scratch once it is
+        no longer read, so the deltas come out as the plain expressions
+        (2/(m d)) * E * Y * (1 - Y) and (delta @ W.T) * a * (1 - a).
+        """
+        L = self.layers
+        Y = self.forward(X)
+        acts = [X, *self.acts]
+        m, d = X.shape
+        delta = np.subtract(Y, X, out=self.deltas[-1])
+        sq = np.multiply(delta, delta, out=self.dens[-1])
+        loss = float(np.sum(sq) / (m * d))
+        delta *= 2.0 / (m * d)
+        for l in range(L - 1, -1, -1):
+            a = acts[l + 1]
             delta *= a
             np.subtract(1.0, a, out=a)
             delta *= a
-    return loss, gW, gb
+            np.matmul(acts[l].T, delta, out=self.grads[l])
+            np.sum(delta, axis=0, out=self.grads[L + l])
+            if l > 0:
+                delta = np.matmul(delta, self.params[l].T, out=self.deltas[l - 1])
+        return loss
+
+
+def _forward_batch(weights, biases, X):
+    """X is samples x coords; returns all activations, input first."""
+    ws = _Workspace([*weights, *biases], X.shape[0])
+    ws.forward(X)
+    return [X, *ws.acts]
+
+
+def _loss_grad(weights, biases, X):
+    """Mean squared reconstruction error and its parameter gradients."""
+    ws = _Workspace([*weights, *biases], X.shape[0])
+    loss = ws.loss_grad(X)
+    return loss, ws.grads[: ws.layers], ws.grads[ws.layers :]
 
 
 def loss_and_gradients(model: AutoencoderModel, X: np.ndarray):
-    """Loss and gradients on a samples x coords batch."""
+    """Loss and gradients on a samples x coords batch, in new arrays."""
     return _loss_grad(model.weights, model.biases, np.asarray(X, dtype=float))
 
 
@@ -175,37 +233,40 @@ class AdamState:
         self.eps = epsilon
         self.t = 0
         self.shapes = [tuple(s) for s in shapes]
-        sizes = [int(np.prod(s)) for s in self.shapes]
-        ends = np.cumsum(sizes).tolist()
-        self.slices = [slice(e - n, e) for n, e in zip(sizes, ends)]
-        self.m = np.zeros(sum(sizes))
-        self.v = np.zeros(sum(sizes))
+        size = sum(map(math.prod, self.shapes))
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = np.empty(size)
 
     @classmethod
     def for_params(cls, params, learning_rate, **kw):
         return cls([p.shape for p in params], learning_rate, **kw)
 
-    def step(self, params, grads):
-        """New parameter arrays; params and grads are left unchanged."""
+    def update(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """One step on flat vectors in place; grad is spent as scratch."""
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        g = np.concatenate([x.ravel() for x in grads])
+        step = self._scratch
         self.m *= self.b1
-        self.m += (1.0 - self.b1) * g
-        g *= g
-        g *= 1.0 - self.b2
+        self.m += np.multiply(1.0 - self.b1, grad, out=step)
+        grad *= grad
+        grad *= 1.0 - self.b2
         self.v *= self.b2
-        self.v += g
-        update = self.m / c1
-        update *= self.lr
-        den = self.v / c2
+        self.v += grad
+        np.divide(self.m, c1, out=step)
+        step *= self.lr
+        den = np.divide(self.v, c2, out=grad)
         np.sqrt(den, out=den)
         den += self.eps
-        update /= den
-        flat = np.concatenate([x.ravel() for x in params])
-        flat -= update
-        return [flat[sl].reshape(s) for sl, s in zip(self.slices, self.shapes)]
+        step /= den
+        theta -= step
+
+    def step(self, params, grads):
+        """New parameter arrays; params and grads are left unchanged."""
+        theta = np.concatenate([p.ravel() for p in params])
+        self.update(theta, np.concatenate([g.ravel() for g in grads]))
+        return _views(theta, self.shapes)
 
 
 def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
@@ -213,7 +274,8 @@ def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
 
     data is coords x samples, already scaled to [0, 1].  The loss trace
     records the loss evaluated before each step, so losses[i] is the loss
-    after i optimizer steps.
+    after i optimizer steps.  One workspace holds every buffer the steps
+    write, so a step allocates nothing.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] != model.layer_sizes[0]:
@@ -222,11 +284,9 @@ def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
             f"got {data.shape}"
         )
     X = data.T
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    n_layers = len(weights)
-    adam = AdamState.for_params(
-        weights + biases,
+    ws = _Workspace([*model.weights, *model.biases], X.shape[0])
+    adam = AdamState(
+        ws.shapes,
         cfg.learning_rate,
         beta1=cfg.beta1,
         beta2=cfg.beta2,
@@ -234,13 +294,12 @@ def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
     )
     losses = np.empty(cfg.max_iterations)
     for it in range(cfg.max_iterations):
-        loss, gW, gb = _loss_grad(weights, biases, X)
+        loss = ws.loss_grad(X)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at iteration {it}")
         losses[it] = loss
-        new = adam.step(weights + biases, gW + gb)
-        weights, biases = new[:n_layers], new[n_layers:]
-    if not all(np.all(np.isfinite(p)) for p in weights + biases):
+        adam.update(ws.theta, ws.grad)
+    if not np.all(np.isfinite(ws.theta)):
         raise DivergenceError(
             f"non-finite parameters after iteration {cfg.max_iterations}"
         )
@@ -252,8 +311,8 @@ def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
     )
     trained = AutoencoderModel(
         layer_sizes=model.layer_sizes,
-        weights=weights,
-        biases=biases,
+        weights=ws.params[: ws.layers],
+        biases=ws.params[ws.layers :],
         seed=model.seed,
     )
     return trained, trace
@@ -419,4 +478,9 @@ def load_checkpoint(path):
         raise ConfigError(
             f"malformed checkpoint {path}: scaler does not have {d[0]} coordinates"
         )
+    for name, arrays in [("weights", model.weights), ("biases", model.biases),
+                         ("scaler lo", [scaler.lo]),
+                         ("scaler span", [scaler.span])]:
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ConfigError(f"malformed checkpoint {path}: non-finite {name}")
     return model, scaler

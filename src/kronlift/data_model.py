@@ -263,9 +263,13 @@ def integer(value) -> int:
 
 
 def number(value) -> float:
+    """A finite number; true, "1e-4", NaN and Infinity do not pass."""
     if isinstance(value, (bool, str)):
         raise ValueError("expected a number")
-    return float(value)
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
 
 def boolean(value) -> bool:

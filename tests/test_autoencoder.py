@@ -8,6 +8,7 @@ from kronlift.autoencoder import (
     fit_scaler,
     init_model,
     load_checkpoint,
+    loss_and_gradients,
     run_sae,
     run_sae_detailed,
     save_checkpoint,
@@ -260,6 +261,63 @@ class TestTrain:
         assert trace.losses[it] <= 1.1 * trace.losses[-1]
         if it > 0:
             assert trace.losses[it - 1] > 1.1 * trace.losses[-1]
+
+
+def replay_train(model, data, cfg):
+    """Training as perfbench's traced replay runs it: the list API per step.
+
+    Each step builds a model from the last step's arrays, takes
+    loss_and_gradients and hands both lists to AdamState.step.
+    """
+    X = np.asarray(data, dtype=float).T
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    n_layers = len(weights)
+    adam = AdamState.for_params(weights + biases, cfg.learning_rate,
+                                beta1=cfg.beta1, beta2=cfg.beta2,
+                                epsilon=cfg.epsilon)
+    losses = np.empty(cfg.max_iterations)
+    for it in range(cfg.max_iterations):
+        current = AutoencoderModel(layer_sizes=model.layer_sizes,
+                                   weights=weights, biases=biases,
+                                   seed=model.seed)
+        losses[it], gW, gb = loss_and_gradients(current, X)
+        new = adam.step(weights + biases, gW + gb)
+        weights, biases = new[:n_layers], new[n_layers:]
+    return weights, biases, losses
+
+
+class TestReplayContract:
+    """The list API reproduces train's bytes and hands out fresh arrays."""
+
+    @pytest.mark.parametrize("d,m,iterations", [(28, 200, 300), (196, 200, 20)])
+    def test_list_api_matches_train_bit_for_bit(self, d, m, iterations):
+        rng = np.random.default_rng(d + 1)
+        X = rng.uniform(0.0, 1.0, size=(d, m))  # coords x samples
+        model = init_model(d, seed=6)
+        cfg = TrainConfig(learning_rate=1e-3, max_iterations=iterations)
+        trained, trace = train(model, X, cfg)
+        weights, biases, losses = replay_train(model, X, cfg)
+        assert trace.losses.tobytes() == losses.tobytes()
+        for got, want in zip(trained.weights + trained.biases, weights + biases):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_successive_calls_share_no_memory(self):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0.0, 1.0, size=(30, 8))  # samples x coords
+        model = init_model(8, seed=2)
+        params = model.weights + model.biases
+        _, gW1, gb1 = loss_and_gradients(model, X)
+        _, gW2, gb2 = loss_and_gradients(model, X)
+        adam = AdamState.for_params(params, learning_rate=0.01)
+        p1 = adam.step(params, gW1 + gb1)
+        p2 = adam.step(p1, gW2 + gb2)
+        for first, second in [(gW1 + gb1, gW2 + gb2), (p1, p2),
+                              (params, p1 + gW1 + gb1)]:
+            for a in first:
+                for b in second:
+                    assert not np.shares_memory(a, b)
 
 
 class TestRmseIndicator:

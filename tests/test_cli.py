@@ -265,18 +265,24 @@ class TestDetectSae:
         ([1, 2], "is not a JSON object"),
         ("truncated scaler", "scaler does not have 4 coordinates"),
         ("relu activation", "activation 'relu' is not supported"),
+        ("nan weight", "non-finite weights"),
+        ("infinite span", "non-finite scaler span"),
     ])
     def test_malformed_checkpoint_exits_2(self, small_data, tmp_path, capsys,
                                           doc, message):
         data, cfg = small_data
         ckpt = tmp_path / "model.json"
-        if doc in ("truncated scaler", "relu activation"):
+        if isinstance(doc, str):
             main(["detect-sae", data, "--config", cfg, "--out", str(tmp_path)])
             trained = json.loads(ckpt.read_text())
             if doc == "truncated scaler":
                 trained["scaler"]["lo"].pop()
-            else:
+            elif doc == "relu activation":
                 trained["activation"] = "relu"
+            elif doc == "nan weight":
+                trained["weights"][1][0][0] = float("nan")
+            else:
+                trained["scaler"]["span"][0] = float("inf")
             doc = trained
         ckpt.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -397,8 +403,14 @@ MALFORMED = [
      "sae.train_span"),
     ("detect-sae", with_section("sae", learning_rate=None),
      "sae.learning_rate"),
-    ("detect-sae", with_section("sae", learning_rate=float("nan")),
+    ("detect-sae", with_section("sae", learning_rate=0.0),
      "learning_rate must be positive and finite"),
+    ("detect-sae", with_section("sae", learning_rate=float("nan")),
+     "sae.learning_rate: bad value nan"),
+    ("detect-rmt", with_section("detector", threshold_sigmas=float("nan")),
+     "detector.threshold_sigmas: bad value nan"),
+    ("synth", with_section("scenario", noise={"snr": float("inf")}),
+     "scenario.noise.snr: bad value inf"),
     ("esd-check", with_section("esd", seed="s"), "esd.seed"),
     ("esd-check", with_section("esd", use_residual=1), "esd.use_residual"),
     ("synth", with_section("scenario", channels="x"), "scenario.channels"),

@@ -217,6 +217,7 @@ class TestReadSection:
     @pytest.mark.parametrize("key,value", [
         ("width", "30"), ("width", 30.5), ("width", True), ("rate", "1e-4"),
         ("on", "no"), ("on", 0), ("on", 1), ("times", 5), ("times", [1, "b"]),
+        ("rate", float("nan")), ("rate", float("inf")), ("rate", -float("inf")),
     ])
     def test_wrong_type_names_key(self, key, value):
         with pytest.raises(ConfigError, match=rf"^s\.{key}: bad value "):
