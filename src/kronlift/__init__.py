@@ -3,7 +3,7 @@ anomaly detection for multichannel sensor streams."""
 
 __version__ = "0.1.0"
 
-from .autoencoder import TrainConfig, run_sae, run_sae_detailed
+from .autoencoder import TrainConfig, run_sae_detailed, score_sae
 from .data_model import (
     IndicatorSeries,
     LiftConfig,
@@ -52,8 +52,8 @@ __all__ = [
     "mp_law",
     "residual_matrix",
     "run_rmt",
-    "run_sae",
     "run_sae_detailed",
     "save_matrix",
+    "score_sae",
     "summarize_window",
 ]

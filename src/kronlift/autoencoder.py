@@ -31,7 +31,6 @@ class AutoencoderModel:
     weights: list  # per layer, shape (fan_in, fan_out)
     biases: list  # per layer, shape (fan_out,)
     seed: int
-    activation: str = "sigmoid"
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -44,11 +43,6 @@ class AutoencoderModel:
             raise ConfigError(
                 f"parameter shapes {got_w}/{got_b} do not match layer sizes "
                 f"{sizes}"
-            )
-        if self.activation != "sigmoid":
-            raise ConfigError(
-                f"activation {self.activation!r} is not supported; "
-                "the network applies the sigmoid"
             )
         object.__setattr__(self, "layer_sizes", sizes)
 
@@ -354,13 +348,61 @@ def score_matrix(
     return np.sqrt(np.mean(E * E, axis=1))
 
 
+def _span_columns(D: SpatioTemporalMatrix, lift_cfg: LiftConfig | None,
+                  train_span: tuple[int, int]):
+    """The training columns, the scored columns and the first scored time.
+
+    D is lifted once (unit-norm; raw when lift_cfg is None), and both
+    column sets are slices of it: the span, and every sample after it.
+    """
+    lo_t, hi_t = int(train_span[0]), int(train_span[1])
+    t_last = D.t0 + D.samples - 1
+    if not D.t0 <= lo_t < hi_t < t_last:
+        raise ConfigError(
+            f"train span [{lo_t}, {hi_t}] must satisfy t0 <= start < end < "
+            f"last t (t0={D.t0}, last t={t_last}), to leave samples to score"
+        )
+    vals = (D.values if lift_cfg is None
+            else lift_matrix(D, lift_cfg, scale_mode="unit-norm").values)
+    first = hi_t + 1 - D.t0
+    return vals[:, lo_t - D.t0 : first], vals[:, first:], hi_t + 1
+
+
+def _rmse_series(model, scaler, columns, start: int) -> IndicatorSeries:
+    """RMSE curve of columns, the first of which is at time start."""
+    if model.layer_sizes[0] != columns.shape[0]:
+        raise ConfigError(f"model expects dimension {model.layer_sizes[0]}, "
+                          f"lifted data has {columns.shape[0]}")
+    return IndicatorSeries(
+        start_index=start,
+        values=score_matrix(model, scaler, columns),
+        kind="RMSE",
+        normalization={"flagged_coords": int(np.sum(scaler.flagged))},
+    )
+
+
+def score_sae(
+    D: SpatioTemporalMatrix,
+    lift_cfg: LiftConfig | None,
+    model: AutoencoderModel,
+    scaler: MinMaxScaler,
+    train_span: tuple[int, int],
+) -> IndicatorSeries:
+    """RMSE curve of a trained model over every sample after train_span.
+
+    The span rule and the lift are run_sae_detailed's, so a model scores
+    the samples its training run scored.
+    """
+    _, columns, start = _span_columns(D, lift_cfg, train_span)
+    return _rmse_series(model, scaler, columns, start)
+
+
 @dataclass(frozen=True)
 class SaeRunResult:
     series: IndicatorSeries
     model: AutoencoderModel
     trace: TrainingTrace
     scaler: MinMaxScaler
-    lift: LiftConfig | None = None
 
 
 def run_sae_detailed(
@@ -376,47 +418,12 @@ def run_sae_detailed(
     alone; test samples may leave [0, 1], which is exactly what the
     reconstruction error keys on.
     """
-    lo_t, hi_t = int(train_span[0]), int(train_span[1])
-    t_last = D.t0 + D.samples - 1
-    if not (D.t0 <= lo_t < hi_t):
-        raise ConfigError(
-            f"train span [{lo_t}, {hi_t}] must start at or after t0={D.t0}"
-        )
-    if hi_t >= t_last:
-        raise ConfigError(
-            f"train span [{lo_t}, {hi_t}] leaves no samples to score "
-            f"(last t is {t_last})"
-        )
-    vals = (
-        lift_matrix(D, lift_cfg, scale_mode="unit-norm").values
-        if lift_cfg is not None
-        else D.values
-    )
-    t = D.t0 + np.arange(D.samples)
-    train_cols = vals[:, (t >= lo_t) & (t <= hi_t)]
+    train_cols, scored, start = _span_columns(D, lift_cfg, train_span)
     scaler = fit_scaler(train_cols)
-    model0 = init_model(vals.shape[0], cfg.seed)
+    model0 = init_model(train_cols.shape[0], cfg.seed)
     model, trace = train(model0, scaler.apply(train_cols), cfg)
-    scores = score_matrix(model, scaler, vals[:, t > hi_t])
-    series = IndicatorSeries(
-        start_index=hi_t + 1,
-        values=scores,
-        kind="RMSE",
-        normalization={"flagged_coords": int(np.sum(scaler.flagged))},
-    )
-    return SaeRunResult(
-        series=series, model=model, trace=trace, scaler=scaler, lift=lift_cfg
-    )
-
-
-def run_sae(
-    D: SpatioTemporalMatrix,
-    lift_cfg: LiftConfig | None,
-    train_span: tuple[int, int] = (1, 200),
-    cfg: TrainConfig = TrainConfig(),
-) -> IndicatorSeries:
-    """RMSE indicator curve for the span after train_span."""
-    return run_sae_detailed(D, lift_cfg, train_span, cfg).series
+    series = _rmse_series(model, scaler, scored, start)
+    return SaeRunResult(series, model, trace, scaler)
 
 
 CHECKPOINT_VERSION = 1
@@ -430,7 +437,7 @@ def save_checkpoint(model: AutoencoderModel, scaler: MinMaxScaler, path) -> None
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "seed": model.seed,
-        "activation": model.activation,
+        "activation": "sigmoid",
         "scaler": {
             "lo": scaler.lo.tolist(),
             "span": scaler.span.tolist(),
@@ -461,8 +468,13 @@ def load_checkpoint(path):
             weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
             biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
             seed=int(doc["seed"]),
-            activation=doc.get("activation", "sigmoid"),
         )
+        activation = doc.get("activation", "sigmoid")
+        if activation != "sigmoid":
+            raise ConfigError(
+                f"activation {activation!r} is not supported; "
+                "the network applies the sigmoid"
+            )
         sc = doc["scaler"]
         scaler = MinMaxScaler(
             lo=np.asarray(sc["lo"], dtype=float),

@@ -33,7 +33,7 @@ from .autoencoder import (
     load_checkpoint,
     run_sae_detailed,
     save_checkpoint,
-    score_matrix,
+    score_sae,
 )
 from .data_model import (
     LiftConfig,
@@ -43,6 +43,7 @@ from .data_model import (
     integer,
     list_of,
     load_matrix,
+    non_negative,
     number,
     read_section,
     residual_matrix,
@@ -126,6 +127,15 @@ def _train_span(value) -> tuple[int, int]:
     return start, end
 
 
+def _seed(text: str) -> int:
+    """--seed N: an integer >= 0."""
+    try:
+        return non_negative(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}") from None
+
+
 def _times(text: str) -> tuple[int, ...]:
     """--snapshot-at T,...: comma-separated window end times."""
     try:
@@ -141,16 +151,16 @@ DETECTOR_SCHEMA = {
     "test_function": (lambda spec: spec, "entropy"),  # _test_function checks it
     "use_residual": (boolean, True), "scale_mode": (str, "sqrt-dim"),
     "baseline_span": (integer, 300), "threshold_sigmas": (number, 5.0),
-    "alarms_enabled": (boolean, True), "seed": (integer, 0),
+    "alarms_enabled": (boolean, True), "seed": (non_negative, 0),
     "snapshot_at": (list_of(integer), ()),
 }
 SAE_SCHEMA = {
     "k": (integer, 2), "n": (integer, None), "learning_rate": (number, 1e-4),
     "max_iterations": (integer, 1000), "train_span": (_train_span, (1, 200)),
-    "seed": (integer, 0),
+    "seed": (non_negative, 0),
 }
 ESD_SCHEMA = {
-    "use_residual": (boolean, True), "seed": (integer, 0),
+    "use_residual": (boolean, True), "seed": (non_negative, 0),
     "snapshot_at": (list_of(integer), ()),
 }
 
@@ -298,20 +308,13 @@ def cmd_detect_sae(args) -> int:
 
     if args.checkpoint:
         model, scaler = load_checkpoint(args.checkpoint)
-        lifted = lift_matrix(M, lift, scale_mode="unit-norm")
-        if model.layer_sizes[0] != lifted.dim:
-            raise ConfigError(
-                f"checkpoint expects dimension {model.layer_sizes[0]}, "
-                f"lifted data has {lifted.dim}")
-        first = span[1] + 1 - lifted.t0
-        rmse = score_matrix(model, scaler, lifted.values[:, first:])
-        times = range(span[1] + 1, span[1] + 1 + rmse.size)
+        series = score_sae(M, lift, model, scaler, span)
         inputs[Path(args.checkpoint).name] = Path(args.checkpoint)
         settings["checkpoint"] = Path(args.checkpoint).name
-        outputs = [_write_rmse(out, times, rmse)]
+        outputs = [_write_rmse(out, series)]
     else:
         result = run_sae_detailed(M, lift, train_span=span, cfg=train_cfg)
-        rmse_path = _write_rmse(out, result.series.times(), result.series.values)
+        rmse_path = _write_rmse(out, result.series)
         trace_path = _write_lines(out / "loss_trace.csv", [
             "iteration,loss",
             *(f"{i},{_fmt(v)}" for i, v in enumerate(result.trace.losses, 1))])
@@ -324,9 +327,9 @@ def cmd_detect_sae(args) -> int:
     return 0
 
 
-def _write_rmse(out: Path, times, values) -> Path:
-    return _write_lines(out / "rmse.csv", [
-        "t,rmse", *(f"{t},{_fmt(v)}" for t, v in zip(times, values))])
+def _write_rmse(out: Path, series) -> Path:
+    return _write_lines(out / "rmse.csv", ["t,rmse", *(
+        f"{t},{_fmt(v)}" for t, v in zip(series.times(), series.values))])
 
 
 def cmd_esd_check(args) -> int:
@@ -388,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="config JSON path or packaged "
                        "scenario name (case_a_step, case_b_ramp)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=_seed, help="override the config seed")
         if data:
             p.add_argument("--k", type=int, help="number of Kronecker segments")
 

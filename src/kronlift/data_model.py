@@ -51,6 +51,8 @@ class SpatioTemporalMatrix:
             )
         if len(set(ids)) != len(ids):
             raise ConfigError("channel ids must be unique")
+        if self.t0 < 0:  # times key random streams, which take no negatives
+            raise ConfigError(f"t0 must be >= 0, got {self.t0}")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "channel_ids", ids)
 
@@ -155,7 +157,8 @@ def load_matrix(path) -> SpatioTemporalMatrix:
 
     Header row holds channel ids; each data row is one sampling instant.
     An optional leading column named "t" carries integer sample indices;
-    its first value is t0 and each later one must be the previous one + 1.
+    its first value is t0, which must be >= 0, and each later one must be
+    the previous one + 1.
     """
     path = Path(path)
     if not path.exists():
@@ -188,6 +191,10 @@ def load_matrix(path) -> SpatioTemporalMatrix:
                         f"{path}: line {lineno}: bad time index {t_val!r}"
                     ) from None
                 if t_first is None:
+                    if t < 0:
+                        raise FormatError(
+                            f"{path}: line {lineno}: time index {t} is negative"
+                        )
                     t_first = t
                 elif t != t_prev + 1:
                     raise FormatError(
@@ -260,6 +267,14 @@ def integer(value) -> int:
     if isinstance(value, bool) or int(value) != value:
         raise ValueError("expected an integer")
     return int(value)
+
+
+def non_negative(value) -> int:
+    """An integer >= 0, as numpy's random seeds must be."""
+    value = integer(value)
+    if value < 0:
+        raise ValueError("expected a non-negative integer")
+    return value
 
 
 def number(value) -> float:

@@ -22,11 +22,9 @@ SCALE_MODES = ("unit-norm", "sqrt-dim")
 
 @dataclass(frozen=True)
 class LiftedMatrix:
-    """Lifted data: dim x samples, plus the configuration that produced it."""
+    """Lifted data: dim x samples; column j is at public time t0 + j."""
 
     values: np.ndarray
-    config: LiftConfig
-    scale_mode: str
     t0: int = 1
 
     @property
@@ -67,4 +65,4 @@ def lift_matrix(
         out = (out[:, None, :] * unit[l][None, :, :]).reshape(-1, N)
     if scale_mode == "sqrt-dim":
         out = out * np.sqrt(cfg.lifted_dim)
-    return LiftedMatrix(values=out, config=cfg, scale_mode=scale_mode, t0=D.t0)
+    return LiftedMatrix(values=out, t0=D.t0)

@@ -35,12 +35,7 @@ from .data_model import (
 from .errors import ConfigError, NumericalError, WindowError
 from .indicators import TestFunction, entropy, les, msr, normalize_curve
 from .lift import LiftedMatrix, lift_matrix
-from .spectral import (
-    CovarianceSpec,
-    SpectralSummary,
-    summarize_window,
-    window_spectra,
-)
+from .spectral import SpectralSummary, summarize_window, window_spectra
 
 MAD_TO_SIGMA = 1.4826  # consistency factor for Gaussian data
 # where OpenBLAS reads its thread count, in its order (MKL also honours
@@ -62,12 +57,19 @@ class DeviationRule:
     threshold_sigmas: float = 5.0
     enabled: bool = True
 
+    def __post_init__(self):
+        if not self.threshold_sigmas > 0:  # would flag every point
+            raise ConfigError(
+                f"detector.threshold_sigmas must be positive, "
+                f"got {self.threshold_sigmas}"
+            )
+
 
 @dataclass(frozen=True)
 class RmtDetectorConfig:
     lift: LiftConfig
     window: WindowSpec = WindowSpec()
-    weights: CovarianceSpec = CovarianceSpec()
+    weights: np.ndarray | None = None  # per-column covariance weights
     test_function: TestFunction = entropy()
     use_residual: bool = True
     seed: int = 0

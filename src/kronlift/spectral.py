@@ -35,16 +35,6 @@ DEAD_ROW_RTOL = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class CovarianceSpec:
-    """Per-column weights for the sample covariance.
-
-    weights=None means uniform 1/N' (N' inferred from the window).
-    """
-
-    weights: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class SpectralSummary:
     """One window's spectra and law-comparison metrics."""
 
@@ -127,16 +117,21 @@ def mp_law(c: float, sigma2: float = 1.0) -> MarchenkoPastur:
     return MarchenkoPastur(c, sigma2)
 
 
-def tensor_covariance(X: np.ndarray, weighting: CovarianceSpec) -> np.ndarray:
-    """Weighted sample covariance sum_j tau_j x_j x_j^T over window columns."""
+def tensor_covariance(
+    X: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Weighted sample covariance sum_j tau_j x_j x_j^T over window columns.
+
+    weights holds tau_j, one per column; None means uniform 1/N'.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise DimensionError("window must be a non-empty 2-D matrix")
     n_cols = X.shape[1]
-    if weighting.weights is None:
+    if weights is None:
         tau = np.full(n_cols, 1.0 / n_cols)
     else:
-        tau = np.asarray(weighting.weights, dtype=float)
+        tau = np.asarray(weights, dtype=float)
         if tau.shape != (n_cols,):
             raise DimensionError(
                 f"{tau.size} weights for {n_cols} window columns"
@@ -267,7 +262,7 @@ def esd_ks_distance(eigs: np.ndarray, law) -> float:
 
 
 def window_spectra(
-    W: np.ndarray, seed, weights: CovarianceSpec | None = None
+    W: np.ndarray, seed, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covariance eigenvalues and ring eigenvalues of one dim x N' window.
 
@@ -276,9 +271,7 @@ def window_spectra(
     and bury the ring.  Ring randomness comes from seed alone.
     """
     W = np.asarray(W, dtype=float)
-    cov_eigs = covariance_eigenvalues(
-        tensor_covariance(W, weights or CovarianceSpec())
-    )
+    cov_eigs = covariance_eigenvalues(tensor_covariance(W, weights))
     A = W if W.shape[0] <= W.shape[1] else W.T
     Xu = singular_value_equivalent(row_standardize(A), seed)
     try:
@@ -292,7 +285,7 @@ def summarize_window(
     W: np.ndarray,
     *,
     seed,
-    weights: CovarianceSpec | None = None,
+    weights: np.ndarray | None = None,
 ) -> SpectralSummary:
     """Full spectral summary of one dim x N' window.
 

@@ -20,6 +20,7 @@ from .data_model import (
     boolean,
     integer,
     list_of,
+    non_negative,
     number,
     read_section,
 )
@@ -216,7 +217,7 @@ SCENARIO_SCHEMA = {
     "anomalies": (_anomalies, ()),
     "noise": (lambda doc: NoiseConfig(**read_section(
         doc, NOISE_SCHEMA, "scenario.noise")), NoiseConfig()),
-    "seed": (integer, 0),
+    "seed": (non_negative, 0),
 }
 
 

@@ -41,7 +41,6 @@ from kronlift.rmt_detector import (
     window_at,
 )
 from kronlift.spectral import (
-    CovarianceSpec,
     covariance_eigenvalues,
     mp_law,
     summarize_window,
@@ -429,7 +428,7 @@ def test_c8b_covariance_matches_brute_force():
     X = rng.standard_normal((8, 12))
     w = rng.uniform(0.5, 1.5, 12)
     w /= w.sum()
-    got = tensor_covariance(X, CovarianceSpec(weights=tuple(w)))
+    got = tensor_covariance(X, tuple(w))
     brute = np.zeros((8, 8))
     for j in range(12):
         brute += w[j] * np.outer(X[:, j], X[:, j])
@@ -452,7 +451,7 @@ def test_c8d_les_limit_matches_law_integral():
     p, n = 1500, 2000
     rng = np.random.default_rng(4)
     X = rng.standard_normal((p, n))
-    eigs = covariance_eigenvalues(tensor_covariance(X, CovarianceSpec()))
+    eigs = covariance_eigenvalues(tensor_covariance(X))
     phi = entropy()
     stat = les(eigs, phi) / p
 

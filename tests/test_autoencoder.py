@@ -9,7 +9,6 @@ from kronlift.autoencoder import (
     init_model,
     load_checkpoint,
     loss_and_gradients,
-    run_sae,
     run_sae_detailed,
     save_checkpoint,
     sigmoid,
@@ -374,20 +373,20 @@ class TestRunSae:
         return stm(vals)
 
     def test_series_geometry(self):
-        series = run_sae(
+        series = run_sae_detailed(
             self.data(), None, train_span=(1, 30),
             cfg=TrainConfig(max_iterations=40),
-        )
+        ).series
         assert series.kind == "RMSE"
         assert series.start_index == 31
         assert series.values.size == 30
         assert np.all(series.values >= 0.0)
 
     def test_lifted_variant(self):
-        series = run_sae(
+        series = run_sae_detailed(
             self.data(), LiftConfig(k=2, n=3), train_span=(1, 30),
             cfg=TrainConfig(max_iterations=40),
-        )
+        ).series
         assert series.values.size == 30
 
     def test_obvious_step_scores_high(self):
@@ -403,17 +402,17 @@ class TestRunSae:
 
     def test_train_span_validation(self):
         with pytest.raises(ConfigError):
-            run_sae(self.data(), None, train_span=(1, 60),
-                    cfg=TrainConfig(max_iterations=5))
+            run_sae_detailed(self.data(), None, train_span=(1, 60),
+                             cfg=TrainConfig(max_iterations=5))
         with pytest.raises(ConfigError):
-            run_sae(self.data(), None, train_span=(0, 30),
-                    cfg=TrainConfig(max_iterations=5))
+            run_sae_detailed(self.data(), None, train_span=(0, 30),
+                             cfg=TrainConfig(max_iterations=5))
 
     def test_determinism(self):
-        a = run_sae(self.data(), None, train_span=(1, 30),
-                    cfg=TrainConfig(max_iterations=30))
-        b = run_sae(self.data(), None, train_span=(1, 30),
-                    cfg=TrainConfig(max_iterations=30))
+        a = run_sae_detailed(self.data(), None, train_span=(1, 30),
+                             cfg=TrainConfig(max_iterations=30)).series
+        b = run_sae_detailed(self.data(), None, train_span=(1, 30),
+                             cfg=TrainConfig(max_iterations=30)).series
         np.testing.assert_array_equal(a.values, b.values)
 
 

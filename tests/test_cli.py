@@ -293,6 +293,25 @@ class TestDetectSae:
         assert err.startswith("kronlift detect-sae: ")
         assert str(ckpt) in err and message in err
 
+    @pytest.mark.parametrize("span", [[1, 2000], [0, -10], [300, 100]])
+    def test_bad_train_span_exits_2_in_both_modes(self, small_data,
+                                                    tmp_path, capsys, span):
+        data, cfg = small_data
+        train_out = tmp_path / "train"
+        assert main(["detect-sae", data, "--config", cfg,
+                     "--out", str(train_out)]) == 0
+        bad_cfg = write_config(tmp_path, with_section("sae", train_span=span),
+                               name="span.json")
+        for flags in ([], ["--checkpoint", str(train_out / "model.json")]):
+            out = tmp_path / "o"
+            capsys.readouterr()
+            rc = main(["detect-sae", data, "--config", bad_cfg,
+                       "--out", str(out), *flags])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith(f"kronlift detect-sae: train span {span}")
+            assert not (out / "rmse.csv").exists()
+
     def test_divergence_maps_to_exit_4(self, small_data, tmp_path,
                                        monkeypatch, capsys):
         data, cfg = small_data
@@ -409,6 +428,15 @@ MALFORMED = [
      "sae.learning_rate: bad value nan"),
     ("detect-rmt", with_section("detector", threshold_sigmas=float("nan")),
      "detector.threshold_sigmas: bad value nan"),
+    ("detect-rmt", with_section("detector", threshold_sigmas=0.0),
+     "detector.threshold_sigmas must be positive, got 0.0"),
+    ("detect-rmt", with_section("detector", threshold_sigmas=-5),
+     "detector.threshold_sigmas must be positive, got -5.0"),
+    ("synth", with_section("scenario", seed=-1), "scenario.seed: bad value -1"),
+    ("detect-rmt", with_section("detector", seed=-1),
+     "detector.seed: bad value -1"),
+    ("detect-sae", with_section("sae", seed=-1), "sae.seed: bad value -1"),
+    ("esd-check", with_section("esd", seed=-1), "esd.seed: bad value -1"),
     ("synth", with_section("scenario", noise={"snr": float("inf")}),
      "scenario.noise.snr: bad value inf"),
     ("esd-check", with_section("esd", seed="s"), "esd.seed"),
@@ -436,6 +464,23 @@ def test_malformed_config_exits_2(small_data, tmp_path, capsys,
     assert err.startswith(f"kronlift {command}: ")
     assert where in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synth", "detect-rmt", "detect-sae",
+                                     "esd-check"])
+def test_negative_seed_flag_exits_2(small_data, tmp_path, capsys, command):
+    """argparse rejects the flag before the command runs, with its usage."""
+    data, cfg = small_data
+    argv = [command] + ([] if command == "synth" else [data])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert (f"kronlift {command}: error: argument --seed: expected a "
+            "non-negative integer, got '-1'") in err
+    assert not (tmp_path / "o").exists()
 
 
 MANIFEST_CONFIGS = [

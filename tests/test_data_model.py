@@ -47,6 +47,11 @@ class TestSpatioTemporalMatrix:
         with pytest.raises(ConfigError):
             SpatioTemporalMatrix(values=np.ones((2, 3)), channel_ids=["a"], t0=1)
 
+    def test_rejects_negative_t0(self):
+        assert make_stm([[1.0, 2.0]], t0=0).t0 == 0
+        with pytest.raises(ConfigError, match="t0 must be >= 0, got -1"):
+            make_stm([[1.0, 2.0]], t0=-1)
+
 
 class TestLiftConfig:
     def test_lifted_dim(self):
@@ -144,6 +149,8 @@ class TestCsvRoundTrip:
         (("1", "2", "xx"), 4, "bad time index 'xx'"),
         (("3", "2", "3"), 3, "time index 2 does not follow 3"),
         (("1", "2", "2.5"), 4, "bad time index '2.5'"),
+        (("-999", "-998", "-997"), 2, "time index -999 is negative"),
+        (("-1", "0", "1"), 2, "time index -1 is negative"),
     ])
     def test_time_column_must_count_up_by_one(self, tmp_path, times, line,
                                               message):

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to exit 0 and writes nothing into the checkout."""
+"""Every script under demos/ runs to exit 0 and leaves nothing behind, in
+the checkout or in the temp dir."""
 
 import os
 import subprocess
@@ -24,3 +25,4 @@ def test_demo_runs_clean(demo, tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert checkout_files() - before == set()
+    assert list(tmp_path.iterdir()) == []

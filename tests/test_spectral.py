@@ -12,7 +12,6 @@ from kronlift.errors import (
 from kronlift.lift import lift_matrix
 from kronlift.rmt_detector import window_at
 from kronlift.spectral import (
-    CovarianceSpec,
     covariance_eigenvalues,
     esd_ks_distance,
     haar_unitary,
@@ -44,7 +43,7 @@ def mp_ppf(law, q, lo=None, hi=None):
 class TestTensorCovariance:
     def test_rank_one_single_column(self):
         X = np.array([[0.0], [1.0], [0.0], [0.0]])
-        M = tensor_covariance(X, CovarianceSpec(weights=np.array([1.0])))
+        M = tensor_covariance(X, np.array([1.0]))
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0
         np.testing.assert_array_equal(M, expected)
@@ -53,15 +52,13 @@ class TestTensorCovariance:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 9))
         X /= np.linalg.norm(X, axis=0)
-        M = tensor_covariance(X, CovarianceSpec())
+        M = tensor_covariance(X)
         assert np.trace(M) == pytest.approx(1.0, rel=1e-12)
 
     def test_unit_weights_trace_is_energy(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((5, 7))
-        M = tensor_covariance(
-            X, CovarianceSpec(weights=np.ones(7))
-        )
+        M = tensor_covariance(X, np.ones(7))
         assert np.trace(M) == pytest.approx(
             np.sum(X**2), rel=1e-12
         )
@@ -70,7 +67,7 @@ class TestTensorCovariance:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((5, 3))
         tau = rng.uniform(0.1, 1.0, size=3)
-        M = tensor_covariance(X, CovarianceSpec(weights=tau))
+        M = tensor_covariance(X, tau)
         brute = np.zeros((5, 5))
         for a in range(3):
             for i in range(5):
@@ -81,14 +78,12 @@ class TestTensorCovariance:
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((8, 5))
-        M = tensor_covariance(X, CovarianceSpec())
+        M = tensor_covariance(X)
         np.testing.assert_array_equal(M, M.T)
 
     def test_weight_count_mismatch(self):
         with pytest.raises(DimensionError):
-            tensor_covariance(
-                np.ones((3, 4)), CovarianceSpec(weights=np.ones(5))
-            )
+            tensor_covariance(np.ones((3, 4)), np.ones(5))
 
 
 class TestCovarianceEigenvalues:
