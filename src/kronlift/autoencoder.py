@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import IndicatorSeries, LiftConfig, SpatioTemporalMatrix
+from .data_model import IndicatorSeries, LiftConfig, SpatioTemporalMatrix, check_seed
 from .errors import ConfigError, DimensionError, DivergenceError
 from .lift import lift_matrix
 
@@ -66,6 +66,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1)")
         if not self.epsilon > 0:
             raise ConfigError("epsilon must be positive")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -194,23 +195,12 @@ class _Workspace:
         return loss
 
 
-def _forward_batch(weights, biases, X):
-    """X is samples x coords; returns all activations, input first."""
-    ws = _Workspace([*weights, *biases], X.shape[0])
-    ws.forward(X)
-    return [X, *ws.acts]
-
-
-def _loss_grad(weights, biases, X):
-    """Mean squared reconstruction error and its parameter gradients."""
-    ws = _Workspace([*weights, *biases], X.shape[0])
-    loss = ws.loss_grad(X)
-    return loss, ws.grads[: ws.layers], ws.grads[ws.layers :]
-
-
 def loss_and_gradients(model: AutoencoderModel, X: np.ndarray):
     """Loss and gradients on a samples x coords batch, in new arrays."""
-    return _loss_grad(model.weights, model.biases, np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    ws = _Workspace([*model.weights, *model.biases], X.shape[0])
+    loss = ws.loss_grad(X)
+    return loss, ws.grads[: ws.layers], ws.grads[ws.layers :]
 
 
 class AdamState:
@@ -343,8 +333,8 @@ def score_matrix(
 ) -> np.ndarray:
     """Per-column reconstruction RMSE of scaled data columns."""
     scaled = scaler.apply(columns).T  # samples x coords
-    acts = _forward_batch(model.weights, model.biases, scaled)
-    E = acts[-1] - scaled
+    Y = _Workspace([*model.weights, *model.biases], scaled.shape[0]).forward(scaled)
+    E = Y - scaled
     return np.sqrt(np.mean(E * E, axis=1))
 
 

@@ -5,7 +5,9 @@ the windowed spectral detector, detect-sae trains and scores the
 reconstruction-error detector, esd-check summarizes one window's
 spectrum against the reference laws.  Every command writes its outputs
 plus a manifest.json recording the settings it ran with, the seed, and
-sha256 digests of inputs and outputs, into the --out directory.
+sha256 digests of inputs and outputs, into the --out directory.  main
+creates that directory before the command does any work, and writes the
+manifest from the (config, seed, inputs, outputs) the command returns.
 
 Configs are JSON with a schema_version field and optional scenario /
 detector / sae / esd sections; --config accepts a path or the name of a
@@ -212,32 +214,31 @@ def write_manifest(
     return _write_lines(out_dir / "manifest.json", [json.dumps(doc, indent=2)])
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path_str: str) -> Path:
+    out = Path(path_str)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
-def _load_data(path_str: str) -> SpatioTemporalMatrix:
+def _load_data(path_str: str) -> tuple[SpatioTemporalMatrix, dict[str, Path]]:
+    """The data matrix, and the manifest inputs entry naming its file."""
     path = Path(path_str)
     try:
-        return load_matrix(path)
+        return load_matrix(path), {path.name: path}
     except OSError as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
 
 
-def cmd_synth(args) -> int:
-    started = time.monotonic()
+def cmd_synth(args, out: Path):
     cfg = scenario_from_dict(load_config(args.config).get("scenario", {}))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    out = _out_dir(args)
-    M = generate(cfg)
     data_path = out / "data.csv"
-    save_matrix(M, data_path)
-    write_manifest(out, "synth", dataclasses.asdict(cfg), cfg.seed,
-                   {}, [data_path], started)
-    return 0
+    save_matrix(generate(cfg), data_path)
+    return dataclasses.asdict(cfg), cfg.seed, {}, [data_path]
 
 
 def _summary_doc(t, summary) -> dict:
@@ -253,9 +254,8 @@ def _summary_doc(t, summary) -> dict:
     }
 
 
-def cmd_detect_rmt(args) -> int:
-    started = time.monotonic()
-    M = _load_data(args.data)
+def cmd_detect_rmt(args, out: Path):
+    M, inputs = _load_data(args.data)
     settings = _settings(load_config(args.config), "detector",
                          DETECTOR_SCHEMA, args)
     settings.update(eval_from=args.eval_from, eval_to=args.eval_to)
@@ -274,7 +274,6 @@ def cmd_detect_rmt(args) -> int:
     )
     report = run_rmt(M, cfg, snapshot_at=settings["snapshot_at"])
 
-    out = _out_dir(args)
     curves = zip(report.les_raw.times(), report.les_raw.values,
                  report.les_curve.values, report.msr_raw.values,
                  report.msr_curve.values)
@@ -288,23 +287,17 @@ def cmd_detect_rmt(args) -> int:
     for t, summary in sorted(report.spectral_snapshots.items()):
         doc = json.dumps(_summary_doc(t, summary), indent=2)
         outputs.append(_write_lines(out / f"snapshot_t{t}.json", [doc]))
-
-    write_manifest(out, "detect-rmt", settings, cfg.seed,
-                   {Path(args.data).name: Path(args.data)}, outputs, started)
-    return 0
+    return settings, cfg.seed, inputs, outputs
 
 
-def cmd_detect_sae(args) -> int:
-    started = time.monotonic()
-    M = _load_data(args.data)
+def cmd_detect_sae(args, out: Path):
+    M, inputs = _load_data(args.data)
     settings = _settings(load_config(args.config), "sae", SAE_SCHEMA, args)
     lift = _lift(settings, M.channels)
     span = settings["train_span"]
     train_cfg = TrainConfig(learning_rate=settings["learning_rate"],
                             max_iterations=settings["max_iterations"],
                             seed=settings["seed"])
-    out = _out_dir(args)
-    inputs = {Path(args.data).name: Path(args.data)}
 
     if args.checkpoint:
         model, scaler = load_checkpoint(args.checkpoint)
@@ -321,10 +314,7 @@ def cmd_detect_sae(args) -> int:
         model_path = out / "model.json"
         save_checkpoint(result.model, result.scaler, model_path)
         outputs = [rmse_path, trace_path, model_path]
-
-    write_manifest(out, "detect-sae", settings, train_cfg.seed,
-                   inputs, outputs, started)
-    return 0
+    return settings, train_cfg.seed, inputs, outputs
 
 
 def _write_rmse(out: Path, series) -> Path:
@@ -332,9 +322,8 @@ def _write_rmse(out: Path, series) -> Path:
         f"{t},{_fmt(v)}" for t, v in zip(series.times(), series.values))])
 
 
-def cmd_esd_check(args) -> int:
-    started = time.monotonic()
-    M = _load_data(args.data)
+def cmd_esd_check(args, out: Path):
+    M, inputs = _load_data(args.data)
     doc = load_config(args.config)
     # only the lift and the width come from the detector section
     detector = _settings(doc, "detector", DETECTOR_SCHEMA, args)
@@ -351,17 +340,15 @@ def cmd_esd_check(args) -> int:
     data = residual_matrix(M) if esd["use_residual"] else M
     lifted = lift_matrix(data, lift, scale_mode="sqrt-dim")
     if choice == "all":
-        t, W, window = lifted.t0 + lifted.samples - 1, lifted.values, "all"
+        t, width, window = lifted.t0 + lifted.samples - 1, lifted.samples, "all"
     else:
         try:
             t = int(choice)
         except ValueError as exc:
             raise ConfigError(f"bad --snapshot-at value {choice!r}") from exc
-        window = detector["window_width"]
-        W = window_at(lifted, t, window)
-    summary = summarize_window(W, seed=(esd["seed"], t))
+        width = window = detector["window_width"]
+    summary = summarize_window(window_at(lifted, t, width), seed=(esd["seed"], t))
 
-    out = _out_dir(args)
     outputs = [
         _write_lines(out / "summary.json", [json.dumps(
             dict(_summary_doc(t, summary), window=window), indent=2)]),
@@ -371,9 +358,7 @@ def cmd_esd_check(args) -> int:
             f"{_fmt(z.real)},{_fmt(z.imag)}" for z in summary.ring_eigs)]),
     ]
     config = {"k": lift.k, "n": lift.n, "window": window, **esd}
-    write_manifest(out, "esd-check", config, esd["seed"],
-                   {Path(args.data).name: Path(args.data)}, outputs, started)
-    return 0
+    return config, esd["seed"], inputs, outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,11 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        out = _out_dir(args.out)
+        config, seed, inputs, outputs = args.func(args, out)
+        write_manifest(out, args.command, config, seed, inputs, outputs, started)
     except KronliftError as exc:
         print(f"kronlift {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

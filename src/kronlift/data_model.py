@@ -277,6 +277,14 @@ def non_negative(value) -> int:
     return value
 
 
+def check_seed(seed) -> None:
+    """ConfigError unless seed passes non_negative."""
+    try:
+        non_negative(seed)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}") from None
+
+
 def number(value) -> float:
     """A finite number; true, "1e-4", NaN and Infinity do not pass."""
     if isinstance(value, (bool, str)):

@@ -30,6 +30,7 @@ from .data_model import (
     LiftConfig,
     SpatioTemporalMatrix,
     WindowSpec,
+    check_seed,
     residual_matrix,
 )
 from .errors import ConfigError, NumericalError, WindowError
@@ -82,6 +83,9 @@ class RmtDetectorConfig:
     eval_from: int | None = None
     eval_to: int | None = None
 
+    def __post_init__(self):
+        check_seed(self.seed)
+
 
 @dataclass(frozen=True)
 class Alarm:
@@ -100,10 +104,16 @@ class DetectionReport:
     spectral_snapshots: dict[int, SpectralSummary] = field(default_factory=dict)
 
 
+def _window_ends(data, width: int) -> tuple[int, int]:
+    """First and last public times a width-column window of data can end at."""
+    if data.samples < width:
+        raise WindowError(f"{data.samples} usable samples < window width {width}")
+    return data.t0 + width - 1, data.t0 + data.samples - 1
+
+
 def window_at(lifted: LiftedMatrix, t: int, width: int) -> np.ndarray:
     """The width most recent lifted columns ending at public time t."""
-    first = lifted.t0 + width - 1
-    last = lifted.t0 + lifted.samples - 1
+    first, last = _window_ends(lifted, width)
     if t < first or t > last:
         raise WindowError(
             f"window ending at t={t} needs t in [{first}, {last}]"
@@ -230,14 +240,9 @@ def run_rmt(
     (0, 1].
     """
     data = residual_matrix(D) if cfg.use_residual else D
-    if data.samples < cfg.window.width:
-        raise WindowError(
-            f"{data.samples} usable samples < window width {cfg.window.width}"
-        )
-    lifted = lift_matrix(data, cfg.lift, scale_mode=cfg.scale_mode)
     width = cfg.window.width
-    first = lifted.t0 + width - 1
-    last = lifted.t0 + lifted.samples - 1
+    first, last = _window_ends(data, width)
+    lifted = lift_matrix(data, cfg.lift, scale_mode=cfg.scale_mode)
     lo = first if cfg.eval_from is None else max(first, int(cfg.eval_from))
     hi = last if cfg.eval_to is None else min(last, int(cfg.eval_to))
     if lo > hi:

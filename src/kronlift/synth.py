@@ -18,6 +18,7 @@ import numpy as np
 from .data_model import (
     SpatioTemporalMatrix,
     boolean,
+    check_seed,
     integer,
     list_of,
     non_negative,
@@ -87,6 +88,7 @@ class ScenarioConfig:
             raise ConfigError("channels and samples must be positive")
         if self.white_sigma < 0:
             raise ConfigError("white_sigma must be >= 0")
+        check_seed(self.seed)
         object.__setattr__(self, "anomalies", tuple(self.anomalies))
         for a in self.anomalies:
             end = self.samples if a.end is None else a.end

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from kronlift.autoencoder import (
+    AutoencoderModel,
     TrainConfig,
     init_model,
     loss_and_gradients,
@@ -398,8 +399,8 @@ def test_c8a_gradient_check():
     _, gW, gb = loss_and_gradients(model, X)
 
     def loss_at(ws, bs):
-        from kronlift.autoencoder import _loss_grad
-        return _loss_grad(ws, bs, X)[0]
+        return loss_and_gradients(AutoencoderModel(
+            layer_sizes=model.layer_sizes, weights=ws, biases=bs, seed=0), X)[0]
 
     h = 1e-6
     worst = 0.0

@@ -130,7 +130,7 @@ class TestGradients:
             [g.ravel() for g in gW] + [g.ravel() for g in gb]
         )
 
-        from kronlift.autoencoder import _forward_batch
+        from kronlift.autoencoder import _Workspace
 
         def loss_at(flat):
             ws, bs, pos = [], [], 0
@@ -140,7 +140,7 @@ class TestGradients:
             for b in model.biases:
                 bs.append(flat[pos : pos + b.size].reshape(b.shape))
                 pos += b.size
-            recon = _forward_batch(ws, bs, X)[-1]
+            recon = _Workspace([*ws, *bs], X.shape[0]).forward(X)
             return np.mean((recon - X) ** 2)
 
         flat0 = np.concatenate(

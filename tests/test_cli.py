@@ -364,6 +364,15 @@ class TestEsdCheck:
         assert rc == 2
         assert "--snapshot-at" in capsys.readouterr().err
 
+    def test_oversized_window_exits_3(self, small_data, tmp_path, capsys):
+        data, cfg = small_data
+        capsys.readouterr()
+        rc = main(["esd-check", data, "--config", cfg, "--out",
+                   str(tmp_path / "o"), "--snapshot-at", "40",
+                   "--window", "2000"])
+        assert rc == 3
+        assert "60 usable samples < window width 2000" in capsys.readouterr().err
+
     def test_determinism(self, small_data, tmp_path):
         data, cfg = small_data
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -481,6 +490,29 @@ def test_negative_seed_flag_exits_2(small_data, tmp_path, capsys, command):
     assert (f"kronlift {command}: error: argument --seed: expected a "
             "non-negative integer, got '-1'") in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "detect-rmt", "detect-sae",
+                                     "esd-check"])
+def test_out_naming_a_file_exits_2_before_any_work(small_data, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    command):
+    def kernel(*a, **kw):
+        raise AssertionError("window kernel called")
+
+    monkeypatch.setattr("kronlift.rmt_detector.window_spectra", kernel)
+    data, cfg = small_data
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    argv = [command] + ([] if command == "synth" else [data])
+    capsys.readouterr()
+    rc = main(argv + ["--config", cfg, "--out", str(blocker)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"kronlift {command}: ")
+    assert str(blocker) in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
 
 
 MANIFEST_CONFIGS = [

@@ -14,7 +14,10 @@ from kronlift.data_model import (
     residual_matrix,
     save_matrix,
 )
+from kronlift.autoencoder import TrainConfig
 from kronlift.errors import ConfigError, DimensionError, FormatError
+from kronlift.rmt_detector import RmtDetectorConfig
+from kronlift.synth import ScenarioConfig
 
 
 def make_stm(values, t0=1):
@@ -238,3 +241,15 @@ class TestReadSection:
     def test_section_must_be_object(self, section):
         with pytest.raises(ConfigError, match="^s must be a JSON object"):
             read_section(section, self.SCHEMA, "s")
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: TrainConfig(seed=seed),
+    lambda seed: RmtDetectorConfig(lift=LiftConfig(k=1, n=2), seed=seed),
+    lambda seed: ScenarioConfig(seed=seed),
+], ids=["TrainConfig", "RmtDetectorConfig", "ScenarioConfig"])
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+def test_library_configs_reject_bad_seeds(make, seed):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got"):
+        make(seed)
+    make(7)  # a valid seed still constructs
