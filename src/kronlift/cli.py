@@ -67,10 +67,22 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_lines(path: Path, lines) -> Path:
+def _written(path: Path, write, *args) -> Path:
+    """path, after write(*args, path); an OSError is a ConfigError naming it."""
+    try:
+        write(*args, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return path
+
+
+def _put_lines(lines, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.writelines(line + "\n" for line in lines)
-    return path
+
+
+def _write_lines(path: Path, lines) -> Path:
+    return _written(path, _put_lines, lines)
 
 
 def _sha256(path: Path) -> str:
@@ -85,7 +97,11 @@ def resolve_config(name_or_path: str) -> str:
     """A filesystem path, or the name of a packaged scenario config."""
     p = Path(name_or_path)
     if p.is_file():
-        return p.read_text(encoding="utf-8")
+        try:
+            return p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config {p} is not UTF-8 text ({exc.reason})") from None
     base = name_or_path if name_or_path.endswith(".json") else name_or_path + ".json"
     packaged = resources.files("kronlift").joinpath("scenarios", base)
     if packaged.is_file():
@@ -236,8 +252,7 @@ def cmd_synth(args, out: Path):
     cfg = scenario_from_dict(load_config(args.config).get("scenario", {}))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    data_path = out / "data.csv"
-    save_matrix(generate(cfg), data_path)
+    data_path = _written(out / "data.csv", save_matrix, generate(cfg))
     return dataclasses.asdict(cfg), cfg.seed, {}, [data_path]
 
 
@@ -311,8 +326,8 @@ def cmd_detect_sae(args, out: Path):
         trace_path = _write_lines(out / "loss_trace.csv", [
             "iteration,loss",
             *(f"{i},{_fmt(v)}" for i, v in enumerate(result.trace.losses, 1))])
-        model_path = out / "model.json"
-        save_checkpoint(result.model, result.scaler, model_path)
+        model_path = _written(out / "model.json", save_checkpoint,
+                              result.model, result.scaler)
         outputs = [rmse_path, trace_path, model_path]
     return settings, train_cfg.seed, inputs, outputs
 

@@ -11,6 +11,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -158,44 +159,98 @@ def load_matrix(path) -> SpatioTemporalMatrix:
     Header row holds channel ids; each data row is one sampling instant.
     An optional leading column named "t" carries integer sample indices;
     its first value is t0, which must be >= 0, and each later one must be
-    the previous one + 1.
+    the previous one + 1.  Cells are C decimal floats, optionally in
+    double quotes, and t is an int64; a file that breaks a rule raises
+    the FormatError of its first bad line.
     """
     path = Path(path)
     if not path.exists():
         raise FormatError(f"input file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                header = [h.strip() for h in next(csv.reader(fh))]
+            except StopIteration:
+                raise FormatError(f"{path}: empty file") from None
+            has_t = bool(header) and header[0] == "t"
+            ids = header[1:] if has_t else header
+            columns = [("t", "i8")] * has_t + [("v", "f8", (len(ids),))]
+            error = None
+            try:
+                with warnings.catch_warnings():  # a header-only file
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data")
+                    body = np.loadtxt(_c_lines(fh), dtype=columns,
+                                      delimiter=",", quotechar='"',
+                                      comments=None, ndmin=1)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                error = exc
+            else:
+                t = body["t"] if has_t else np.array([1])  # t0 defaults to 1
+                if (body.size and len(ids) >= 2 and t[0] >= 0
+                        and np.all(np.diff(t) == 1)):
+                    values = np.ascontiguousarray(body["v"]).T  # P x N
+                    return SpatioTemporalMatrix(
+                        values=values, channel_ids=ids, t0=int(t[0]))
+        c_only = _check_lines(path, len(header), has_t)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    raise FormatError(f"{path}: {c_only or error}")
+
+
+def _c_text(text: str) -> bool:
+    """Whether numpy's parsers read text's cells as float() and int() do.
+
+    They do on ASCII text, apart from the separators 0x1c-0x1f, which
+    they skip as white space; on other characters the int64 parser takes
+    letters for digits.
+    """
+    return text.isascii() and not ("\x1c" in text or "\x1d" in text
+                                   or "\x1e" in text or "\x1f" in text)
+
+
+def _c_lines(fh):
+    """The lines of fh, up to a ValueError at the first that is not _c_text."""
+    for line in fh:
+        if not _c_text(line):
+            raise ValueError("a line holds a character outside ASCII text")
+        yield line
+
+
+def _check_lines(path: Path, width: int, has_t: bool) -> str | None:
+    """Raise the error of the first line in path that breaks a rule of
+    load_matrix, or the no-samples and channel-count errors after them.
+
+    Past those, return where the first cell that is not _c_text is, or
+    None.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        has_t = bool(header) and header[0] == "t"
-        ids = header[1:] if has_t else header
-        rows = []
-        t_first = t_prev = None
+        next(reader)
+        samples = 0
+        t_prev = c_only = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
+            if len(row) != width:
                 raise FormatError(
                     f"{path}: line {lineno} has {len(row)} fields, "
-                    f"expected {len(header)}"
+                    f"expected {width}"
                 )
             if has_t:
-                t_val, row = row[0], row[1:]
                 try:
-                    t = int(t_val)
+                    t = int(row[0])
                 except ValueError:
                     raise FormatError(
-                        f"{path}: line {lineno}: bad time index {t_val!r}"
+                        f"{path}: line {lineno}: bad time index {row[0]!r}"
                     ) from None
-                if t_first is None:
+                if t_prev is None:
                     if t < 0:
                         raise FormatError(
                             f"{path}: line {lineno}: time index {t} is negative"
                         )
-                    t_first = t
                 elif t != t_prev + 1:
                     raise FormatError(
                         f"{path}: line {lineno}: time index {t} does not "
@@ -203,19 +258,21 @@ def load_matrix(path) -> SpatioTemporalMatrix:
                     )
                 t_prev = t
             try:
-                rows.append([float(x) for x in row])
+                for x in row[1:] if has_t else row:
+                    float(x)
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
+            bad = [x for x in row if not _c_text(x)]
+            if bad and c_only is None:
+                c_only = f"line {lineno}: {bad[0]!r} is not ASCII text"
+            samples += 1
+    if not samples:
         raise FormatError(f"{path}: no samples")
-    if len(ids) < 2:
+    if width - has_t < 2:
         raise DimensionError(
-            f"{path}: need at least 2 channels, got {len(ids)}"
+            f"{path}: need at least 2 channels, got {width - has_t}"
         )
-    values = np.asarray(rows, dtype=float).T  # columns index time
-    return SpatioTemporalMatrix(
-        values=values, channel_ids=ids, t0=t_first if t_first is not None else 1
-    )
+    return c_only
 
 
 def save_matrix(D: SpatioTemporalMatrix, path) -> None:
@@ -224,14 +281,11 @@ def save_matrix(D: SpatioTemporalMatrix, path) -> None:
     Floats are rendered with 17 significant digits so a reload is
     bit-identical.
     """
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + list(D.channel_ids))
-        for j in range(D.samples):
-            writer.writerow(
-                [str(D.t0 + j)] + [f"{x:.17g}" for x in D.values[:, j]]
-            )
+    row = "%d" + ",%.17g" * D.channels + "\r\n"
+    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["t"] + list(D.channel_ids))
+        fh.writelines(row % (t, *x) for t, x in
+                      enumerate(D.values.T.tolist(), start=D.t0))
 
 
 def read_section(section, schema: dict, where: str) -> dict:

@@ -2,18 +2,22 @@
 
 Each one computes, one sample or one point at a time, something the
 library computes vectorized: the lift of a single column, the
-Marchenko-Pastur density, one sample's reconstruction and its RMSE.
-The autoencoder's training kernel has references too: the two-sided
-masked sigmoid and the plain full-batch Adam loop, written with
-out-of-place expressions, which the library's in-place kernel must
-match bit for bit.  None of them is used by the library itself.
+Marchenko-Pastur density, one sample's reconstruction and its RMSE,
+and the data CSV read and written one cell at a time.  The
+autoencoder's training kernel has references too: the two-sided masked
+sigmoid and the plain full-batch Adam loop, written with out-of-place
+expressions, which the library's in-place kernel must match bit for
+bit.  None of them is used by the library itself.
 """
+
+import csv
+from pathlib import Path
 
 import numpy as np
 
 from kronlift.autoencoder import AutoencoderModel, TrainConfig
-from kronlift.data_model import LiftConfig
-from kronlift.errors import DimensionError, NormalizationError
+from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
+from kronlift.errors import DimensionError, FormatError, NormalizationError
 from kronlift.spectral import MarchenkoPastur
 
 
@@ -146,3 +150,76 @@ def rmse_indicator(model: AutoencoderModel, x: np.ndarray) -> float:
     """Root mean squared reconstruction error of one (scaled) sample."""
     recon, _ = forward(model, x)
     return rmse_of_error(np.asarray(x, dtype=float) - recon)
+
+
+def load_matrix_reference(path) -> SpatioTemporalMatrix:
+    """The data CSV read line by line with csv.reader, float() and int():
+    what load_matrix returns or raises, apart from the cells only Python
+    parses (1_000, non-ASCII digits, a time beyond int64)."""
+    path = Path(path)
+    if not path.exists():
+        raise FormatError(f"input file not found: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        has_t = bool(header) and header[0] == "t"
+        ids = header[1:] if has_t else header
+        rows = []
+        t_first = t_prev = None
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise FormatError(
+                    f"{path}: line {lineno} has {len(row)} fields, "
+                    f"expected {len(header)}"
+                )
+            if has_t:
+                t_val, row = row[0], row[1:]
+                try:
+                    t = int(t_val)
+                except ValueError:
+                    raise FormatError(
+                        f"{path}: line {lineno}: bad time index {t_val!r}"
+                    ) from None
+                if t_first is None:
+                    if t < 0:
+                        raise FormatError(
+                            f"{path}: line {lineno}: time index {t} is negative"
+                        )
+                    t_first = t
+                elif t != t_prev + 1:
+                    raise FormatError(
+                        f"{path}: line {lineno}: time index {t} does not "
+                        f"follow {t_prev}"
+                    )
+                t_prev = t
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise FormatError(f"{path}: no samples")
+    if len(ids) < 2:
+        raise DimensionError(
+            f"{path}: need at least 2 channels, got {len(ids)}"
+        )
+    values = np.asarray(rows, dtype=float).T  # columns index time
+    return SpatioTemporalMatrix(
+        values=values, channel_ids=ids, t0=t_first if t_first is not None else 1
+    )
+
+
+def save_matrix_reference(D: SpatioTemporalMatrix, path) -> None:
+    """The data CSV written one row at a time with csv.writer."""
+    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + list(D.channel_ids))
+        for j in range(D.samples):
+            writer.writerow(
+                [str(D.t0 + j)] + [f"{x:.17g}" for x in D.values[:, j]]
+            )

@@ -8,6 +8,7 @@ import hashlib
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,6 +514,46 @@ def test_out_naming_a_file_exits_2_before_any_work(small_data, tmp_path,
     assert str(blocker) in err
     assert "Traceback" not in err
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command,name", [
+    ("synth", "data.csv"), ("detect-rmt", "curves.csv"),
+    ("detect-sae", "model.json"), ("esd-check", "summary.json")])
+def test_unwritable_output_exits_2(small_data, tmp_path, capsys, command,
+                                   name):
+    data, cfg = small_data
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    argv = [command] + ([] if command == "synth" else [data])
+    capsys.readouterr()
+    rc = main(argv + ["--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"kronlift {command}: cannot write {out / name}: "
+                   "Is a directory\n")
+
+
+@pytest.mark.parametrize("bad", ["data", "config"])
+def test_non_utf8_input_exits_2(small_data, tmp_path, capsys, bad):
+    data, cfg = small_data
+    path = tmp_path / "latin1"
+    if bad == "data":
+        # a Latin-1 micro sign at the end of the header
+        text = Path(data).read_bytes()
+        path.write_bytes(text.replace(b"\r\n", b"\xb5\r\n", 1))
+        data = str(path)
+    else:
+        doc = dict(SMALL_SCENARIO, description="caf\xe9")
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        cfg = str(path)
+    capsys.readouterr()
+    rc = main(["esd-check", data, "--config", cfg, "--out",
+               str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("kronlift esd-check: ")
+    assert f"{path}" in err and "not UTF-8 text" in err
+    assert "Traceback" not in err
 
 
 MANIFEST_CONFIGS = [

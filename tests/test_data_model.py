@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronlift.data_model import (
     LiftConfig,
@@ -18,6 +22,7 @@ from kronlift.autoencoder import TrainConfig
 from kronlift.errors import ConfigError, DimensionError, FormatError
 from kronlift.rmt_detector import RmtDetectorConfig
 from kronlift.synth import ScenarioConfig
+from oracles import load_matrix_reference, save_matrix_reference
 
 
 def make_stm(values, t0=1):
@@ -178,8 +183,76 @@ class TestCsvRoundTrip:
     def test_non_numeric_cell_reports_position(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("c1,c2\n1,x\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as info:
             load_matrix(p)
+        assert str(info.value) == (
+            f"{p}: line 2: could not convert string to float: 'x'")
+
+    @pytest.mark.parametrize("text,message", [
+        ("c1,c2\n1,2\n \n3,4\n", "line 3 has 1 fields, expected 2"),
+        ("c1,c2\n1,2,\n3,4\n", "line 2 has 3 fields, expected 2"),
+    ], ids=["whitespace-only line", "trailing comma"])
+    def test_ragged_layouts_report_line(self, tmp_path, text, message):
+        p = tmp_path / "d.csv"
+        p.write_text(text, newline="")
+        with pytest.raises(FormatError) as info:
+            load_matrix(p)
+        assert str(info.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize("text", [
+        "t,c1,c2\n5,1,2\n\n6,3,4\n",
+        "t,c1,c2\r\n5,1,2\r\n6,3,4\r\n",
+        "t,c1,c2\r5,1,2\r6,3,4",
+        't,"c1",c2\n"5","1",2\n6,3,"4"\n',
+        "t , c1,c2 \n 5 ,1 , 2\n6,3,4\n",
+    ], ids=["blank line", "CRLF", "CR without final newline",
+            "quoted cells", "padded cells"])
+    def test_layout_variants_read_the_same_values(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_text(text, newline="")
+        m = load_matrix(p)
+        assert (m.t0, m.channel_ids) == (5, ["c1", "c2"])
+        np.testing.assert_array_equal(m.values, [[1.0, 3.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize("text,cell", [
+        ("c1,c2\n1_000,2\n", "'1_000'"),
+        ("t,c1,c2\n99999999999999999999,1,2\n", "'99999999999999999999'"),
+        ("c1,c2\n\u0661,2\n", "line 2: '\u0661' is not ASCII text"),
+        ("t,c1,c2\n\u0661,1,2\n", "line 2: '\u0661' is not ASCII text"),
+        ("c1,c2\n1,2\xa0\n", r"line 2: '2\xa0' is not ASCII text"),
+    ], ids=["underscore", "t beyond int64", "Arabic-Indic digit",
+            "Arabic-Indic time", "no-break space"])
+    def test_c_only_cells_name_the_file(self, tmp_path, text, cell):
+        """Cells float() and int() read but the C parsers do not."""
+        p = tmp_path / "d.csv"
+        p.write_text(text, encoding="utf-8")
+        load_matrix_reference(p)  # the per-cell reader took these
+        with pytest.raises(FormatError) as info:
+            load_matrix(p)
+        assert str(info.value).startswith(f"{p}: ")
+        assert cell in str(info.value)
+
+    def test_non_utf8_file_names_it(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"t,c1,c2\n1,\xff,2\n")
+        with pytest.raises(FormatError) as info:
+            load_matrix(p)
+        assert str(info.value) == f"{p}: not UTF-8 text (invalid start byte)"
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("t,c1,c2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="no samples"):
+                load_matrix(p)
+
+    def test_values_are_channel_major(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("t,c1,c2,c3\n0,1,2,3\n1,4,5,6\n")
+        m = load_matrix(p)
+        assert m.values.flags.f_contiguous and m.values.shape == (3, 2)
+        assert m.t0 == 0 and type(m.t0) is int
 
     def test_single_channel_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -253,3 +326,80 @@ def test_library_configs_reject_bad_seeds(make, seed):
     with pytest.raises(ConfigError, match="seed must be an integer >= 0, got"):
         make(seed)
     make(7)  # a valid seed still constructs
+
+
+# Special values spread over the generated matrices below.
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                  1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+                  0.1, 1 / 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(channels=st.integers(2, 40), samples=st.integers(1, 300),
+       t0=st.integers(0, 10**6), seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(st.tuples(st.integers(0, 12_000),
+                                   st.sampled_from(SPECIAL_VALUES)),
+                         max_size=30))
+def test_csv_io_matches_the_reference(tmp_path_factory, channels, samples,
+                                      t0, seed, specials):
+    """save_matrix writes the per-row writer's bytes, and load_matrix
+    reads back every bit, as the per-cell reader does."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((channels, samples))
+    values *= 10.0 ** rng.integers(-300, 301, values.shape)
+    for pos, x in specials:
+        values.flat[pos % values.size] = x
+    ids = ['bus 1, "V"'] + [f"c{i}" for i in range(2, channels + 1)]
+    M = SpatioTemporalMatrix(values=values, channel_ids=ids, t0=t0)
+    d = tmp_path_factory.mktemp("csv")
+    save_matrix(M, d / "new.csv")
+    save_matrix_reference(M, d / "old.csv")
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+    for back in (load_matrix(d / "new.csv"),
+                 load_matrix_reference(d / "new.csv")):
+        assert (back.t0, back.channel_ids) == (t0, ids)
+        assert back.values.tobytes() == M.values.tobytes()
+
+
+# Files the per-cell reader rejects; load_matrix must raise the same.
+MALFORMED_CSV = {
+    "empty file": "",
+    "header only": "t,c1,c2\n",
+    "blank lines only": "c1,c2\n\n\r\n",
+    "one channel": "c1\n1\n2\n",
+    "t and one channel": "t,c1\n1,5\n",
+    "ragged": "c1,c2\n1,2\n1,2,3\n",
+    "whitespace-only line": "c1,c2\n1,2\n \n3,4\n",
+    "trailing comma": "c1,c2\n1,2,\n",
+    "short line": "c1,c2\n1\n",
+    "non-numeric": "c1,c2\n1,x\n",
+    "empty cell": "c1,c2\n1,\n",
+    "quoted comma": 'c1,c2\n"1,5",2\n',
+    "space before quote": 'c1,c2\n1, "2"\n',
+    "hex": "c1,c2\n0x10,2\n",
+    "separator 0x1c": "c1,c2\n1\x1c,2\n",
+    "bad time": "t,c1,c2\n1,1,2\nxx,1,2\n",
+    "letter time": "t,c1,c2\n\u01fe1,1,2\n",  # numpy's int64 parser: 4621
+    "fractional time": "t,c1,c2\n1,1,2\n2.0,1,2\n",
+    "time gap": "t,c1,c2\n1,1,2\n5,1,2\n",
+    "negative time": "t,c1,c2\n-1,1,2\n0,1,2\n",
+    "time gap then bad cell": "t,c1,c2\n1,1,2\n3,x,2\n",
+    "bad cell after one channel": "c1\nx\n",
+    "NaN": "c1,c2\n1,2\nnan,1\n",
+    "infinity": "t,c1,c2\n1,-Infinity,2\n",
+    "overflow": "c1,c2\n1e999,2\n",
+    "underscore then ragged": "c1,c2\n1_000,2\n1,2,3\n",
+    "non-ASCII digit then time gap": "t,c1,c2\n1,\u0661,2\n3,1,2\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_CSV.values(), ids=MALFORMED_CSV)
+def test_malformed_csv_raises_as_the_reference(tmp_path, text):
+    p = tmp_path / "d.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(Exception) as expected:
+        load_matrix_reference(p)
+    with pytest.raises(type(expected.value)) as info:
+        load_matrix(p)
+    assert type(info.value) is type(expected.value)
+    assert str(info.value) == str(expected.value)
