@@ -231,7 +231,9 @@ def _check_lines(path: Path, width: int, has_t: bool) -> str | None:
         next(reader)
         samples = 0
         t_prev = c_only = None
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num  # a quoted cell can hold line breaks
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != width:

@@ -2,8 +2,8 @@
 
 Builds weighted sample covariances from data windows, extracts real
 (covariance) and complex (ring) spectra, and measures the distance of an
-empirical spectral distribution to the Marchenko-Pastur law and the
-annulus coverage against the single-ring reference.
+empirical spectral distribution to the Marchenko-Pastur law (its cdf in
+closed form) and the annulus coverage against the single-ring reference.
 
 Aspect-ratio conventions: mp_law takes c = dimension / samples (so c > 1
 means a rank-deficient covariance with a point mass at zero), while the
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,19 +46,17 @@ class SpectralSummary:
     ring_coverage: float
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre():
-    return np.polynomial.legendre.leggauss(256)
-
-
 class MarchenkoPastur:
     """Marchenko-Pastur law with ratio c = dimension/samples and scale sigma2.
 
     Support is sigma2*(1 +- sqrt(c))**2; for c > 1 the distribution has a
-    point mass 1 - 1/c at zero.  The cdf integrates the density through the
-    substitution x = sigma2*(1 + c + 2*sqrt(c)*sin(theta)), which removes
-    the square-root edge singularities so a fixed Gauss-Legendre rule is
-    accurate to machine precision.
+    point mass 1 - 1/c at zero.  The cdf is in closed form: with
+    x = sigma2*(p + q*sin(theta)), p = 1 + c, q = 2*sqrt(c) and
+    d = |1 - c|, the density's mass on [a, x] is
+    (2/pi)*(G(theta) - G(-pi/2)) for the antiderivative
+    G(theta) = cos(theta)/q + p*theta/q**2
+               - (d/2c)*arctan((p*tan(theta/2) + q)/d),
+    whose arctan term vanishes at c = 1.
     """
 
     def __init__(self, c: float, sigma2: float = 1.0):
@@ -78,38 +75,29 @@ class MarchenkoPastur:
     def support(self) -> tuple[float, float]:
         return (self._a, self._b)
 
-    def _continuous_cdf(self, x):
-        """Mass of the density on [a, x], vectorized over x inside support."""
-        y = np.asarray(x, dtype=float) / self.sigma2
+    def _antiderivative(self, theta):
+        """G(theta) of the class docstring."""
         c = self.c
-        sc = np.sqrt(c)
-        arg = np.clip((y - 1.0 - c) / (2.0 * sc), -1.0, 1.0)
-        theta = np.arcsin(arg)
-        nodes, wts = _gauss_legendre()
-        # map [-pi/2, theta] onto the reference interval per evaluation point
-        half = 0.5 * (theta + 0.5 * np.pi)
-        t = -0.5 * np.pi + half[..., None] * (nodes + 1.0)
-        integrand = (2.0 / np.pi) * np.cos(t) ** 2 / (
-            1.0 + c + 2.0 * sc * np.sin(t)
-        )
-        return np.sum(wts * integrand, axis=-1) * half
+        p, q, d = 1.0 + c, 2.0 * np.sqrt(c), abs(1.0 - c)
+        # arctan2(y, d) is arctan(y/d) for d > 0, and its d = 0 term drops
+        edge = np.arctan2(p * np.tan(0.5 * theta) + q, d)
+        return np.cos(theta) / q + p * theta / q**2 - d / (2.0 * c) * edge
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        below = x < 0.0
-        lowflat = (x >= 0.0) & (x <= self._a)
-        above = x >= self._b
-        mid = ~(below | lowflat | above)
-        out[below] = 0.0
-        out[lowflat] = self.atom_at_zero
-        out[above] = 1.0
-        if np.any(mid):
-            out[mid] = self.atom_at_zero + self._continuous_cdf(x[mid])
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        a, b = self._a, self._b
+        xs = np.clip(x, a, b)
+        # phi = theta + pi/2 from its half-angle tangent sqrt((x-a)/(b-x))
+        # stays exact at the edges, where arcsin((x/sigma2 - p)/q) loses
+        # digits
+        phi = 2.0 * np.arctan2(np.sqrt(xs - a), np.sqrt(b - xs))
+        theta = phi - 0.5 * np.pi
+        mass = (2.0 / np.pi) * (
+            self._antiderivative(theta) - self._antiderivative(-0.5 * np.pi)
+        )
+        out = np.clip(self.atom_at_zero + mass, 0.0, 1.0)
+        out = np.where(x < 0.0, 0.0, np.where(x >= b, 1.0, out))
+        return float(out) if out.ndim == 0 else out
 
 
 def mp_law(c: float, sigma2: float = 1.0) -> MarchenkoPastur:
@@ -251,9 +239,8 @@ def esd_ks_distance(eigs: np.ndarray, law) -> float:
     cand = np.unique(np.concatenate([vals, [0.0]]))
     emp_right = np.searchsorted(vals, cand, side="right") / m
     emp_left = np.searchsorted(vals, cand, side="left") / m
-    law_right = np.atleast_1d(np.asarray(law.cdf(cand), dtype=float))
-    atom = getattr(law, "atom_at_zero", 0.0)
-    law_left = law_right - np.where(cand == 0.0, atom, 0.0)
+    law_right = law.cdf(cand)
+    law_left = law_right - np.where(cand == 0.0, law.atom_at_zero, 0.0)
     d = max(
         np.max(np.abs(emp_right - law_right)),
         np.max(np.abs(law_left - emp_left)),

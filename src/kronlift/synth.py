@@ -128,12 +128,10 @@ def colored_noise(
     scale = np.sqrt(1.0 - b * b)
     for i in range(P):
         rng = np.random.default_rng((seed, 1, i))
-        e = np.empty(N)
-        e[0] = rng.standard_normal()
-        innov = rng.standard_normal(N - 1) * scale
-        for t in range(1, N):
-            e[t] = b * e[t - 1] + innov[t - 1]
-        E[i] = e
+        E[i, 0] = rng.standard_normal()
+        E[i, 1:] = rng.standard_normal(N - 1) * scale
+    for t in range(1, N):
+        E[:, t] += b * E[:, t - 1]
     return E
 
 

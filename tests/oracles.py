@@ -1,13 +1,14 @@
 """Plain reference implementations the tests check the library against.
 
 Each one computes, one sample or one point at a time, something the
-library computes vectorized: the lift of a single column, the
-Marchenko-Pastur density, one sample's reconstruction and its RMSE,
-and the data CSV read and written one cell at a time.  The
-autoencoder's training kernel has references too: the two-sided masked
-sigmoid and the plain full-batch Adam loop, written with out-of-place
-expressions, which the library's in-place kernel must match bit for
-bit.  None of them is used by the library itself.
+library computes vectorized or in closed form: the lift of a single
+column, the Marchenko-Pastur density and its cdf by quadrature, one
+sample's reconstruction and its RMSE, and the data CSV read and written
+one cell at a time.  The autoencoder's training kernel has references
+too: the two-sided masked sigmoid and the plain full-batch Adam loop,
+written with out-of-place expressions, which the library's in-place
+kernel must match bit for bit.  None of them is used by the library
+itself.
 """
 
 import csv
@@ -71,6 +72,33 @@ def mp_pdf(law: MarchenkoPastur, x):
         2.0 * np.pi * law.sigma2 * law.c * xi
     )
     return out if out.ndim else float(out)
+
+
+def mp_cdf_reference(law: MarchenkoPastur, x) -> np.ndarray:
+    """The law's cdf at points of its support [a, b]: the atom plus mp_pdf
+    integrated over the angle phi of x = a + (b - a)*sin(phi/2)**2.
+
+    phi is theta + pi/2 for the library's x = sigma2*(1 + c +
+    2*sqrt(c)*sin(theta)), counted from the lower edge so that x - a keeps
+    every digit there.  Each integral runs on 64-node Gauss-Legendre
+    pieces split at phi = 10**-k, k = 12..1, which resolve the density's
+    1/sqrt(x) rise at c = 1 and its narrow peak near c = 1.
+    """
+    a, b = law.support
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    out = []
+    for xi in np.asarray(x, dtype=float).ravel():
+        phi = 2.0 * np.arcsin(np.sqrt((xi - a) / (b - a)))
+        cuts = [0.0, *(s for s in 10.0 ** np.arange(-12, 0) if s < phi), phi]
+        total = law.atom_at_zero
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            half = 0.5 * (hi - lo)
+            t = lo + half * (nodes + 1.0)
+            x_t = a + (b - a) * np.sin(0.5 * t) ** 2
+            dx_dt = 0.5 * (b - a) * np.sin(t)
+            total += half * np.sum(wts * mp_pdf(law, x_t) * dx_dt)
+        out.append(total)
+    return np.array(out)
 
 
 def sigmoid_reference(z: np.ndarray) -> np.ndarray:
@@ -170,7 +198,9 @@ def load_matrix_reference(path) -> SpatioTemporalMatrix:
         ids = header[1:] if has_t else header
         rows = []
         t_first = t_prev = None
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num  # a record starts on the line after the last
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(header):

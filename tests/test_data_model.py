@@ -191,7 +191,13 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("text,message", [
         ("c1,c2\n1,2\n \n3,4\n", "line 3 has 1 fields, expected 2"),
         ("c1,c2\n1,2,\n3,4\n", "line 2 has 3 fields, expected 2"),
-    ], ids=["whitespace-only line", "trailing comma"])
+        ('c1,c2\n"1\n",2\n1,x\n',
+         "line 4: could not convert string to float: 'x'"),
+        ('"c\n1",c2\n1,2\n1,2,3\n', "line 4 has 3 fields, expected 2"),
+        ('t,c1,c2\r\n1,"2\r\n\r\n",3\r\n3,4,5\r\n',
+         "line 5: time index 3 does not follow 1"),
+    ], ids=["whitespace-only line", "trailing comma", "line break in a cell",
+            "line break in the header", "CRLF breaks in a cell"])
     def test_ragged_layouts_report_line(self, tmp_path, text, message):
         p = tmp_path / "d.csv"
         p.write_text(text, newline="")
@@ -390,6 +396,7 @@ MALFORMED_CSV = {
     "overflow": "c1,c2\n1e999,2\n",
     "underscore then ragged": "c1,c2\n1_000,2\n1,2,3\n",
     "non-ASCII digit then time gap": "t,c1,c2\n1,\u0661,2\n3,1,2\n",
+    "line break in a cell": 'c1,c2\n"1\n",2\n1,x\n',
 }
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from kronlift.spectral import (
     tensor_covariance,
     window_spectra,
 )
-from oracles import mp_pdf
+from oracles import mp_cdf_reference, mp_pdf
 
 
 def mp_ppf(law, q, lo=None, hi=None):
@@ -170,6 +172,38 @@ class TestMpLaw:
         base = mp_law(0.5, 1.0)
         assert law.support[1] == pytest.approx(2.0 * base.support[1])
         assert law.cdf(2.0 * 1.3) == pytest.approx(base.cdf(1.3), abs=1e-12)
+
+    @pytest.mark.parametrize("sigma2", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "c", [0.14, 0.5, 0.98, 0.999, 1.0, 1.001, 1.5, 3.645])
+    def test_cdf_matches_quadrature_reference(self, c, sigma2):
+        # 0.999 to 1.001 is where a fixed quadrature rule loses digits and,
+        # at c = 1, divides by zero at the lower edge
+        law = mp_law(c, sigma2)
+        a, b = law.support
+        xs = np.concatenate([[a + 1e-9 * (b - a)], np.linspace(a, b, 197)[1:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = law.cdf(xs)
+        np.testing.assert_allclose(got, mp_cdf_reference(law, xs),
+                                   rtol=0, atol=1e-12)
+        assert got[-1] == 1.0
+
+    @pytest.mark.parametrize("sigma2", [1.0, 2.0])
+    def test_cdf_at_c1_is_elementary(self, sigma2):
+        # at c = 1 the mass below x = sigma2*(2 + 2*sin(theta)) is
+        # (theta + cos(theta) + pi/2)/pi, down to the smallest x > 0
+        law = mp_law(1.0, sigma2)
+        xs = np.concatenate([[5e-324, 1e-300, 1e-20, 1e-10, 2e-7],
+                             np.linspace(0.0, 4.0 * sigma2, 197)[1:-1]])
+        theta = 2.0 * np.arcsin(np.sqrt(xs / (4.0 * sigma2))) - 0.5 * np.pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = law.cdf(xs)
+        np.testing.assert_allclose(
+            got, (theta + np.cos(theta) + 0.5 * np.pi) / np.pi,
+            rtol=0, atol=1e-12)
+        assert np.all(got < 1.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):

@@ -7,9 +7,11 @@ file sits in, on both packaged scenarios: `synth`; `detect-rmt --k 1
 --snapshot-at 500,501`; `esd-check --snapshot-at 500` and `--snapshot-at
 all`; `detect-sae` training and `--checkpoint` scoring of its model; and,
 on case_a_step only, `detect-rmt` at k=2 over [201, 510] with the same
-snapshots.  Then it prints one `relative-path sha256` line per output
-file under WORKDIR (best empty or new), sorted.  Manifests are left out,
-since they record run times.
+snapshots and `esd-check --window 196 --snapshot-at 500`, whose 196 dims
+against 196 columns put the Marchenko-Pastur law at ratio c = 1.  Then it
+prints one `relative-path sha256` line per output file under WORKDIR (best
+empty or new), sorted.  Manifests are left out, since they record run
+times.
 
 Run it on two checkouts at the same BLAS thread count and diff the two
 listings to see whether a change kept every output byte.  Exits 1 if a
@@ -41,6 +43,9 @@ def commands(work: Path):
            "--eval-from", "201", "--eval-to", "510", "--snapshot-at", "500,501",
            "--config", "case_a_step",
            "--out", str(work / "case_a_step" / "rmt_k2")]
+    yield ["esd-check", str(work / "case_a_step" / "synth" / "data.csv"),
+           "--window", "196", "--snapshot-at", "500", "--config", "case_a_step",
+           "--out", str(work / "case_a_step" / "esd_c1")]
 
 
 def main_digests(work: Path) -> int:
