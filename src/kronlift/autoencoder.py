@@ -398,7 +398,7 @@ class SaeRunResult:
 def run_sae_detailed(
     D: SpatioTemporalMatrix,
     lift_cfg: LiftConfig | None,
-    train_span: tuple[int, int] = (1, 200),
+    train_span: tuple[int, int],
     cfg: TrainConfig = TrainConfig(),
 ) -> SaeRunResult:
     """Train on the normal span, score everything after it.

@@ -102,6 +102,9 @@ def resolve_config(name_or_path: str) -> str:
         except UnicodeDecodeError as exc:
             raise ConfigError(
                 f"config {p} is not UTF-8 text ({exc.reason})") from None
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read config {p}: {exc.strerror or exc}") from None
     base = name_or_path if name_or_path.endswith(".json") else name_or_path + ".json"
     packaged = resources.files("kronlift").joinpath("scenarios", base)
     if packaged.is_file():
@@ -164,23 +167,28 @@ def _times(text: str) -> tuple[int, ...]:
 
 CHEBYSHEV_SCHEMA = {"kind": (str, None), "coefficients": (list_of(number), ())}
 DETECTOR_SCHEMA = {
-    "k": (integer, 2), "n": (integer, None), "window_width": (integer, 200),
-    "stride": (integer, 1),
-    "test_function": (lambda spec: spec, "entropy"),  # _test_function checks it
-    "use_residual": (boolean, True), "scale_mode": (str, "sqrt-dim"),
-    "baseline_span": (integer, 300), "threshold_sigmas": (number, 5.0),
-    "alarms_enabled": (boolean, True), "seed": (non_negative, 0),
+    "k": (integer, 2), "n": (integer, None),
+    "window_width": (integer, WindowSpec.width),
+    "stride": (integer, WindowSpec.stride),
+    "test_function": (lambda spec: spec,  # _test_function checks it
+                      RmtDetectorConfig.test_function.kind),
+    "use_residual": (boolean, RmtDetectorConfig.use_residual),
+    "scale_mode": (str, RmtDetectorConfig.scale_mode),
+    "baseline_span": (integer, DeviationRule.baseline_span),
+    "threshold_sigmas": (number, DeviationRule.threshold_sigmas),
+    "alarms_enabled": (boolean, DeviationRule.enabled),
+    "seed": (non_negative, RmtDetectorConfig.seed),
     "snapshot_at": (list_of(integer), ()),
 }
 SAE_SCHEMA = {
-    "k": (integer, 2), "n": (integer, None), "learning_rate": (number, 1e-4),
-    "max_iterations": (integer, 1000), "train_span": (_train_span, (1, 200)),
-    "seed": (non_negative, 0),
+    "k": (integer, 2), "n": (integer, None),
+    "learning_rate": (number, TrainConfig.learning_rate),
+    "max_iterations": (integer, TrainConfig.max_iterations),
+    "train_span": (_train_span, (1, 200)),
+    "seed": (non_negative, TrainConfig.seed),
 }
-ESD_SCHEMA = {
-    "use_residual": (boolean, True), "seed": (non_negative, 0),
-    "snapshot_at": (list_of(integer), ()),
-}
+ESD_SCHEMA = {key: DETECTOR_SCHEMA[key]
+              for key in ("use_residual", "seed", "snapshot_at")}
 
 
 def _settings(doc: dict, name: str, schema: dict, args) -> dict:
@@ -205,6 +213,20 @@ def _lift(settings: dict, channels: int) -> LiftConfig:
     elif k * n != channels:
         raise ConfigError(f"lift factorization {k} * {n} != {channels} channels")
     return LiftConfig(k=k, n=n)
+
+
+def _detector(settings: dict, channels: int) -> RmtDetectorConfig:
+    """The detector settings as a config, for detect-rmt and esd-check alike."""
+    return RmtDetectorConfig(
+        lift=_lift(settings, channels),
+        window=WindowSpec(settings["window_width"], settings["stride"]),
+        test_function=_test_function(settings["test_function"]),
+        use_residual=settings["use_residual"], seed=settings["seed"],
+        deviation_rule=DeviationRule(settings["baseline_span"],
+                                     settings["threshold_sigmas"],
+                                     settings["alarms_enabled"]),
+        scale_mode=settings["scale_mode"],
+        eval_from=settings.get("eval_from"), eval_to=settings.get("eval_to"))
 
 
 def write_manifest(
@@ -274,19 +296,7 @@ def cmd_detect_rmt(args, out: Path):
     settings = _settings(load_config(args.config), "detector",
                          DETECTOR_SCHEMA, args)
     settings.update(eval_from=args.eval_from, eval_to=args.eval_to)
-    cfg = RmtDetectorConfig(
-        lift=_lift(settings, M.channels),
-        window=WindowSpec(settings["window_width"], settings["stride"]),
-        test_function=_test_function(settings["test_function"]),
-        use_residual=settings["use_residual"],
-        seed=settings["seed"],
-        deviation_rule=DeviationRule(settings["baseline_span"],
-                                     settings["threshold_sigmas"],
-                                     settings["alarms_enabled"]),
-        scale_mode=settings["scale_mode"],
-        eval_from=settings["eval_from"],
-        eval_to=settings["eval_to"],
-    )
+    cfg = _detector(settings, M.channels)
     report = run_rmt(M, cfg, snapshot_at=settings["snapshot_at"])
 
     curves = zip(report.les_raw.times(), report.les_raw.values,
@@ -340,9 +350,8 @@ def _write_rmse(out: Path, series) -> Path:
 def cmd_esd_check(args, out: Path):
     M, inputs = _load_data(args.data)
     doc = load_config(args.config)
-    # only the lift and the width come from the detector section
-    detector = _settings(doc, "detector", DETECTOR_SCHEMA, args)
-    lift = _lift(detector, M.channels)
+    cfg = _detector(_settings(doc, "detector", DETECTOR_SCHEMA, args),
+                    M.channels)
     esd = _settings(doc, "esd", ESD_SCHEMA, args)
     choice = esd["snapshot_at"]
     if not isinstance(choice, str):  # the config's list, not the flag
@@ -353,7 +362,7 @@ def cmd_esd_check(args, out: Path):
         choice = esd["snapshot_at"] = str(choice[0])
 
     data = residual_matrix(M) if esd["use_residual"] else M
-    lifted = lift_matrix(data, lift, scale_mode="sqrt-dim")
+    lifted = lift_matrix(data, cfg.lift, scale_mode="sqrt-dim")
     if choice == "all":
         t, width, window = lifted.t0 + lifted.samples - 1, lifted.samples, "all"
     else:
@@ -361,7 +370,7 @@ def cmd_esd_check(args, out: Path):
             t = int(choice)
         except ValueError as exc:
             raise ConfigError(f"bad --snapshot-at value {choice!r}") from exc
-        width = window = detector["window_width"]
+        width = window = cfg.window.width
     summary = summarize_window(window_at(lifted, t, width), seed=(esd["seed"], t))
 
     outputs = [
@@ -372,7 +381,7 @@ def cmd_esd_check(args, out: Path):
         _write_lines(out / "ring_scatter.csv", ["re,im", *(
             f"{_fmt(z.real)},{_fmt(z.imag)}" for z in summary.ring_eigs)]),
     ]
-    config = {"k": lift.k, "n": lift.n, "window": window, **esd}
+    config = {"k": cfg.lift.k, "n": cfg.lift.n, "window": window, **esd}
     return config, esd["seed"], inputs, outputs
 
 

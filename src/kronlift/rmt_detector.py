@@ -254,6 +254,8 @@ def run_rmt(
     _check_baseline(cfg.deviation_rule, times.size)
     # cut the snapshot windows first, so a bad time fails before any window runs
     snap_windows = {int(t): window_at(lifted, int(t), width) for t in snapshot_at}
+    if cfg.scale_mode == "unit-norm":  # the reference laws assume sqrt-dim
+        snap_windows = {t: W * np.sqrt(lifted.dim) for t, W in snap_windows.items()}
 
     les_vals, msr_vals = _evaluate_parallel(lifted, times, cfg)
 

@@ -40,7 +40,7 @@ class AnomalySpec:
     resolves to the last sample.
     """
 
-    kind: str
+    kind: str = "step"
     onset: int = 501
     end: int | None = None
     channels: tuple = ()
@@ -205,19 +205,24 @@ def _anomalies(value) -> tuple:
 
 
 ANOMALY_SCHEMA = {
-    "kind": (str, "step"), "onset": (integer, 501), "end": (integer, None),
-    "channels": (list_of(integer), ()), "magnitude": (number, 0.0),
+    "kind": (str, AnomalySpec.kind), "onset": (integer, AnomalySpec.onset),
+    "end": (integer, AnomalySpec.end),
+    "channels": (list_of(integer), AnomalySpec.channels),
+    "magnitude": (number, AnomalySpec.magnitude),
 }
 NOISE_SCHEMA = {
-    "b": (number, 0.5), "snr": (number, 1000.0), "enabled": (boolean, True),
+    "b": (number, NoiseConfig.b), "snr": (number, NoiseConfig.snr),
+    "enabled": (boolean, NoiseConfig.enabled),
 }
 SCENARIO_SCHEMA = {
-    "channels": (integer, 28), "samples": (integer, 1000),
-    "baselines": (_baselines, 1.0), "white_sigma": (number, 1e-3),
-    "anomalies": (_anomalies, ()),
+    "channels": (integer, ScenarioConfig.channels),
+    "samples": (integer, ScenarioConfig.samples),
+    "baselines": (_baselines, ScenarioConfig.baselines),
+    "white_sigma": (number, ScenarioConfig.white_sigma),
+    "anomalies": (_anomalies, ScenarioConfig.anomalies),
     "noise": (lambda doc: NoiseConfig(**read_section(
-        doc, NOISE_SCHEMA, "scenario.noise")), NoiseConfig()),
-    "seed": (non_negative, 0),
+        doc, NOISE_SCHEMA, "scenario.noise")), ScenarioConfig.noise),
+    "seed": (non_negative, ScenarioConfig.seed),
 }
 
 

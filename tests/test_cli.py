@@ -164,6 +164,26 @@ class TestDetectRmt:
             assert 0.0 <= doc["ks_distance_mp"] <= 1.0
             assert 0.0 <= doc["ring_coverage"] <= 1.0
 
+    @pytest.mark.parametrize("scale_mode", ["sqrt-dim", "unit-norm"])
+    def test_snapshot_matches_esd_check(self, small_data, tmp_path,
+                                        scale_mode):
+        """A snapshot is taken on the sqrt-dim scale the reference laws
+        assume, whatever scale the curves use, so it equals esd-check."""
+        data, _ = small_data
+        doc = dict(SMALL_SCENARIO, esd={"use_residual": True},
+                   detector=dict(SMALL_SCENARIO["detector"], use_residual=True,
+                                 scale_mode=scale_mode))
+        cfg = write_config(tmp_path, doc, name="scaled.json")
+        rmt, esd = tmp_path / "rmt", tmp_path / "esd"
+        assert main(["detect-rmt", data, "--config", cfg, "--out", str(rmt),
+                     "--eval-from", "35", "--eval-to", "45",
+                     "--snapshot-at", "40"]) == 0
+        assert main(["esd-check", data, "--config", cfg, "--out", str(esd),
+                     "--snapshot-at", "40"]) == 0
+        summary = json.loads((esd / "summary.json").read_text())
+        del summary["window"]
+        assert json.loads((rmt / "snapshot_t40.json").read_text()) == summary
+
     def test_oversized_window_exits_3(self, small_data, tmp_path, capsys):
         data, cfg = small_data
         rc = main(["detect-rmt", data, "--config", cfg,
@@ -476,6 +496,33 @@ def test_malformed_config_exits_2(small_data, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+DETECTOR_REJECTED = [
+    (with_section("detector", test_function="bogus"),
+     "detector.test_function: unknown test function 'bogus'"),
+    (with_section("detector", stride=0), "stride must be >= 1, got 0"),
+    (with_section("detector", threshold_sigmas=0),
+     "detector.threshold_sigmas must be positive, got 0.0"),
+    (with_section("detector", window_width=1),
+     "window width must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("doc,message", DETECTOR_REJECTED,
+                         ids=[case[1] for case in DETECTOR_REJECTED])
+def test_detector_section_checked_alike(small_data, tmp_path, capsys, doc,
+                                        message):
+    """detect-rmt and esd-check build one config from the detector
+    section, so both reject the same section with the same message."""
+    data, _ = small_data
+    cfg = write_config(tmp_path, doc, name="detector.json")
+    for command in ("detect-rmt", "esd-check"):
+        capsys.readouterr()
+        rc = main([command, data, "--config", cfg,
+                   "--out", str(tmp_path / command)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"kronlift {command}: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["synth", "detect-rmt", "detect-sae",
                                      "esd-check"])
 def test_negative_seed_flag_exits_2(small_data, tmp_path, capsys, command):
@@ -554,6 +601,23 @@ def test_non_utf8_input_exits_2(small_data, tmp_path, capsys, bad):
     assert err.startswith("kronlift esd-check: ")
     assert f"{path}" in err and "not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+def test_unreadable_config_exits_2(small_data, tmp_path, capsys,
+                                  monkeypatch):
+    data, cfg = small_data
+
+    def denied(self, *a, **kw):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    capsys.readouterr()
+    rc = main(["esd-check", data, "--config", cfg, "--out",
+               str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"kronlift esd-check: cannot read config {cfg}: " \
+        "Permission denied\n"
 
 
 MANIFEST_CONFIGS = [

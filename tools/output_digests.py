@@ -9,9 +9,10 @@ all`; `detect-sae` training and `--checkpoint` scoring of its model; and,
 on case_a_step only, `detect-rmt` at k=2 over [201, 510] with the same
 snapshots and `esd-check --window 196 --snapshot-at 500`, whose 196 dims
 against 196 columns put the Marchenko-Pastur law at ratio c = 1.  Then it
-prints one `relative-path sha256` line per output file under WORKDIR (best
-empty or new), sorted.  Manifests are left out, since they record run
-times.
+prints one `relative-path sha256` line per file under WORKDIR (best
+empty or new), sorted.  A manifest is digested without its
+`duration_seconds`, re-dumped as the CLI writes it (`indent=2`), so its
+settings, key order and digests are compared but not its run time.
 
 Run it on two checkouts at the same BLAS thread count and diff the two
 listings to see whether a change kept every output byte.  Exits 1 if a
@@ -19,6 +20,7 @@ command does not exit 0.
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -54,9 +56,15 @@ def main_digests(work: Path) -> int:
             print(f"failed: kronlift {' '.join(argv)}", file=sys.stderr)
             return 1
     for path in sorted(work.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(path.relative_to(work).as_posix(), digest)
+        if not path.is_file():
+            continue
+        content = path.read_bytes()
+        if path.name == "manifest.json":
+            doc = json.loads(content)
+            del doc["duration_seconds"]
+            content = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        print(path.relative_to(work).as_posix(),
+              hashlib.sha256(content).hexdigest())
     return 0
 
 
