@@ -51,21 +51,17 @@ class AutoencoderModel:
 class TrainConfig:
     learning_rate: float = 1e-4
     max_iterations: int = 1000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
+    # Adam's constants: class attributes, not fields, so readable but not set
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError("learning_rate must be positive and finite")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1)")
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
         check_seed(self.seed)
 
 
@@ -210,7 +206,8 @@ class AdamState:
     operations, so its bytes match a per-array update.
     """
 
-    def __init__(self, shapes, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, shapes, learning_rate, beta1=TrainConfig.beta1,
+                 beta2=TrainConfig.beta2, epsilon=TrainConfig.epsilon):
         self.lr = learning_rate
         self.b1 = beta1
         self.b2 = beta2
@@ -269,13 +266,7 @@ def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
         )
     X = data.T
     ws = _Workspace([*model.weights, *model.biases], X.shape[0])
-    adam = AdamState(
-        ws.shapes,
-        cfg.learning_rate,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        epsilon=cfg.epsilon,
-    )
+    adam = AdamState(ws.shapes, cfg.learning_rate)
     losses = np.empty(cfg.max_iterations)
     for it in range(cfg.max_iterations):
         loss = ws.loss_grad(X)

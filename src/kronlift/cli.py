@@ -51,7 +51,7 @@ from .data_model import (
     residual_matrix,
     save_matrix,
 )
-from .errors import ConfigError, KronliftError
+from .errors import ConfigError, FormatError, KronliftError
 from .indicators import TestFunction, chebyshev, entropy, likelihood_ratio
 from .lift import lift_matrix
 from .rmt_detector import DeviationRule, RmtDetectorConfig, run_rmt, window_at
@@ -325,10 +325,13 @@ def cmd_detect_sae(args, out: Path):
                             seed=settings["seed"])
 
     if args.checkpoint:
+        checkpoint = Path(args.checkpoint)
+        if checkpoint.exists() and not checkpoint.is_file():  # digested again
+            raise FormatError(f"{checkpoint}: not a regular file")
         model, scaler = load_checkpoint(args.checkpoint)
         series = score_sae(M, lift, model, scaler, span)
-        inputs[Path(args.checkpoint).name] = Path(args.checkpoint)
-        settings["checkpoint"] = Path(args.checkpoint).name
+        inputs[checkpoint.name] = checkpoint
+        settings["checkpoint"] = checkpoint.name
         outputs = [_write_rmse(out, series)]
     else:
         result = run_sae_detailed(M, lift, train_span=span, cfg=train_cfg)

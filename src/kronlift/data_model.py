@@ -76,17 +76,16 @@ class LiftConfig:
 
     k: int
     n: int
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         if not (1 <= self.k <= MAX_SEGMENTS):
             raise ConfigError(f"k must be in 1..{MAX_SEGMENTS}, got {self.k}")
         if self.n < 2:
             raise ConfigError(f"segment length n must be >= 2, got {self.n}")
-        if self.lifted_dim > self.dim_cap:
+        if self.lifted_dim > DEFAULT_DIM_CAP:
             raise ConfigError(
                 f"lifted dimension {self.n}^{self.k} = {self.lifted_dim} "
-                f"exceeds cap {self.dim_cap}"
+                f"exceeds cap {DEFAULT_DIM_CAP}"
             )
 
     @property
@@ -161,11 +160,14 @@ def load_matrix(path) -> SpatioTemporalMatrix:
     its first value is t0, which must be >= 0, and each later one must be
     the previous one + 1.  Cells are C decimal floats, optionally in
     double quotes, and t is an int64; a file that breaks a rule raises
-    the FormatError of its first bad line.
+    the FormatError of its first bad line, found by reading it again, so
+    path must name a regular file, not a pipe or FIFO.
     """
     path = Path(path)
     if not path.exists():
         raise FormatError(f"input file not found: {path}")
+    if not path.is_file():
+        raise FormatError(f"{path}: not a regular file")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             try:

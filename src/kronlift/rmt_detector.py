@@ -33,9 +33,9 @@ from .data_model import (
     check_seed,
     residual_matrix,
 )
-from .errors import ConfigError, NumericalError, WindowError
+from .errors import ConfigError, KronliftError, WindowError
 from .indicators import TestFunction, entropy, les, msr, normalize_curve
-from .lift import LiftedMatrix, lift_matrix
+from .lift import SCALE_MODES, LiftedMatrix, lift_matrix
 from .spectral import SpectralSummary, summarize_window, window_spectra
 
 MAD_TO_SIGMA = 1.4826  # consistency factor for Gaussian data
@@ -64,6 +64,10 @@ class DeviationRule:
                 f"detector.threshold_sigmas must be positive, "
                 f"got {self.threshold_sigmas}"
             )
+        if self.enabled and self.baseline_span < 2:  # no spread to measure
+            raise ConfigError(
+                f"detector.baseline_span must be >= 2, got {self.baseline_span}"
+            )
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,8 @@ class RmtDetectorConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
+        if self.scale_mode not in SCALE_MODES:
+            raise ConfigError(f"scale_mode must be one of {SCALE_MODES}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,7 @@ def window_at(lifted: LiftedMatrix, t: int, width: int) -> np.ndarray:
 
 
 def _check_baseline(rule: DeviationRule, points: int) -> None:
-    if rule.enabled and not 2 <= rule.baseline_span <= points:
+    if rule.enabled and rule.baseline_span > points:
         raise ConfigError(
             f"baseline_span {rule.baseline_span} does not fit a curve of "
             f"{points} points"
@@ -158,9 +164,9 @@ def _evaluate(
         W = window_at(lifted, int(t), cfg.window.width)
         try:
             cov_eigs, ring_eigs = window_spectra(W, (cfg.seed, int(t)), cfg.weights)
-        except NumericalError as exc:
-            raise NumericalError(f"window ending at t={t}: {exc}") from exc
-        out[:, i] = les(cov_eigs, cfg.test_function), msr(ring_eigs)
+            out[:, i] = les(cov_eigs, cfg.test_function), msr(ring_eigs)
+        except KronliftError as exc:  # same class, so the same exit code
+            raise type(exc)(f"window ending at t={t}: {exc}") from exc
 
 
 def _worker_count() -> int:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -227,13 +229,22 @@ class TestTrain:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("field,value", [
-        ("beta1", 1.0), ("beta1", -0.5), ("beta2", 1.5), ("beta2", 1.0),
-        ("epsilon", 0.0), ("epsilon", -1e-8), ("epsilon", np.nan),
         ("learning_rate", np.nan), ("learning_rate", np.inf),
     ])
     def test_bad_adam_settings_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
+
+    def test_adam_constants_cannot_be_set(self):
+        """beta1, beta2 and epsilon are class attributes, not fields."""
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "learning_rate", "max_iterations", "seed"]
+        cfg = TrainConfig()
+        assert (cfg.beta1, cfg.beta2, cfg.epsilon) == (0.9, 0.999, 1e-8)
+        adam = AdamState([(2,)], learning_rate=0.1)
+        assert (adam.b1, adam.b2, adam.eps) == (0.9, 0.999, 1e-8)
+        with pytest.raises(TypeError):
+            TrainConfig(beta1=0.5)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):

@@ -6,15 +6,18 @@ file stays fast; one test goes through the installed console script.
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kronlift
 from kronlift.cli import main
-from kronlift.data_model import load_matrix
+from kronlift.data_model import SpatioTemporalMatrix, load_matrix, save_matrix
 from kronlift.errors import DivergenceError
 
 
@@ -214,6 +217,21 @@ class TestDetectRmt:
         rc = main(["detect-rmt", str(tmp_path / "none.csv"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_flat_span_names_its_window(self, small_data, tmp_path, capsys):
+        data, _ = small_data
+        M = load_matrix(data)
+        values = M.values.copy()
+        values[2, 30:] = values[2, 30]  # channel 3 flat over t = 31..60
+        flat = tmp_path / "flat.csv"
+        save_matrix(SpatioTemporalMatrix(values, M.channel_ids, M.t0), flat)
+        cfg = write_config(tmp_path, with_section("detector", use_residual=True))
+        capsys.readouterr()
+        rc = main(["detect-rmt", str(flat), "--config", cfg, "--k", "1",
+                   "--window", "20", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == ("kronlift detect-rmt: window ending "
+                                           "at t=51: row 2 has zero variance\n")
 
     def test_ring_solver_failure_exits_4(self, small_data, tmp_path,
                                          monkeypatch, capsys):
@@ -504,6 +522,10 @@ DETECTOR_REJECTED = [
      "detector.threshold_sigmas must be positive, got 0.0"),
     (with_section("detector", window_width=1),
      "window width must be >= 2, got 1"),
+    (with_section("detector", scale_mode="bogus"),
+     "scale_mode must be one of ('unit-norm', 'sqrt-dim')"),
+    (with_section("detector", baseline_span=1),
+     "detector.baseline_span must be >= 2, got 1"),
 ]
 
 
@@ -618,6 +640,37 @@ def test_unreadable_config_exits_2(small_data, tmp_path, capsys,
     assert rc == 2
     assert err == f"kronlift esd-check: cannot read config {cfg}: " \
         "Permission denied\n"
+
+
+def _run_cli(argv, stdin: bytes) -> subprocess.CompletedProcess:
+    """main in a child process, so that a read which blocks fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kronlift.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "kronlift.cli", *argv],
+                          input=stdin, capture_output=True, env=env, timeout=30)
+
+
+@pytest.mark.parametrize("source", ["fifo", "stdin", "checkpoint"])
+def test_non_regular_input_exits_2(small_data, tmp_path, source):
+    """The manifest digests every input, and a bad data file is read again
+    for its first bad line, so a FIFO or pipe is refused before any read."""
+    data, cfg = small_data
+    argv, path, stdin = ["esd-check"], "/dev/stdin", Path(data).read_bytes()
+    if source == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        path, stdin = str(tmp_path / "fifo"), b""
+        os.mkfifo(path)
+    elif source == "checkpoint":
+        model = tmp_path / "sae"
+        assert main(["detect-sae", data, "--config", cfg,
+                     "--out", str(model)]) == 0
+        argv = ["detect-sae", data, "--checkpoint"]
+        stdin = (model / "model.json").read_bytes()
+    done = _run_cli([*argv, path, "--config", cfg, "--out",
+                     str(tmp_path / "o")], stdin)
+    assert done.returncode == 2
+    assert done.stderr.decode() == \
+        f"kronlift {argv[0]}: {path}: not a regular file\n"
 
 
 MANIFEST_CONFIGS = [

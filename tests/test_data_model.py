@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -72,13 +73,10 @@ class TestLiftConfig:
         assert cfg.lifted_dim == 28
 
     def test_rejects_dim_above_cap(self):
-        # 9^4 = 6561 > default cap 4096
-        with pytest.raises(ConfigError):
+        # 9^4 = 6561 > cap 4096, which is a constant, not a field
+        with pytest.raises(ConfigError, match="exceeds cap 4096"):
             LiftConfig(k=4, n=9)
-
-    def test_cap_is_configurable(self):
-        cfg = LiftConfig(k=4, n=9, dim_cap=10000)
-        assert cfg.lifted_dim == 6561
+        assert [f.name for f in dataclasses.fields(LiftConfig)] == ["k", "n"]
 
     def test_rejects_k_above_four(self):
         with pytest.raises(ConfigError):

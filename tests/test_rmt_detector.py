@@ -448,7 +448,9 @@ class TestParallelWindows:
                 run_rmt(D, cfg)
             errors.append((type(info.value), str(info.value)))
             _no_children_left()
-        assert errors[0] == (StandardizationError, "row 0 has zero variance")
+        assert errors[0] == (StandardizationError,
+                             f"window ending at t={freeze_from + 19}: "
+                             "row 0 has zero variance")
         assert errors[1:] == errors[:1] * 2
 
     def test_parent_failure_stops_children(self, monkeypatch):

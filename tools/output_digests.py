@@ -14,18 +14,32 @@ empty or new), sorted.  A manifest is digested without its
 `duration_seconds`, re-dumped as the CLI writes it (`indent=2`), so its
 settings, key order and digests are compared but not its run time.
 
+Then it runs a fixed set of commands that must fail, on inputs it writes
+under WORKDIR/errors (which the listing skips): a CSV with a bad float
+on line 3, `esd-check` with detector `"scale_mode": "bogus"` and with
+`"baseline_span": 1`, `detect-rmt --k 1 --window 20` on a 4-channel
+record whose third channel is flat from t=31, and a directory as the
+data path.  For each it prints `fail/<label> exit=<code> <first stderr
+line>`, with WORKDIR written as `WORKDIR`.
+
 Run it on two checkouts at the same BLAS thread count and diff the two
-listings to see whether a change kept every output byte.  Exits 1 if a
-command does not exit 0.
+listings to see whether a change kept every output byte, exit code and
+error message.  Exits 1 if a digested command does not exit 0; the
+failing commands do not change the exit status.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from kronlift.cli import main  # noqa: E402
+from kronlift.cli import load_config, main  # noqa: E402
+from kronlift.data_model import SpatioTemporalMatrix, save_matrix  # noqa: E402
 
 
 def commands(work: Path):
@@ -50,13 +64,39 @@ def commands(work: Path):
            "--out", str(work / "case_a_step" / "esd_c1")]
 
 
+def failing_commands(errors: Path, data: str):
+    """(label, argv) of each command that must fail, after writing its inputs."""
+    errors.mkdir(exist_ok=True)
+    bad = errors / "bad_float.csv"
+    bad.write_text("t,a,b\n1,0.5,0.25\n2,0.5,x\n", encoding="utf-8")
+    yield "bad_float", ["esd-check", str(bad)]
+    for key, value in (("scale_mode", "bogus"), ("baseline_span", 1)):
+        doc = load_config("case_a_step")
+        doc["detector"][key] = value
+        cfg = errors / f"{key}.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        yield key, ["esd-check", data, "--snapshot-at", "500",
+                    "--config", str(cfg)]
+    values = np.random.default_rng(0).normal(size=(4, 60))
+    values[2, 30:] = 1.0
+    flat = errors / "flat_span.csv"
+    save_matrix(SpatioTemporalMatrix(values, list("abcd")), flat)
+    cfg = errors / "flat_span.json"
+    cfg.write_text(json.dumps({"detector": {"baseline_span": 10}}),
+                   encoding="utf-8")
+    yield "flat_span", ["detect-rmt", str(flat), "--k", "1", "--window", "20",
+                        "--config", str(cfg)]
+    yield "directory", ["esd-check", str(errors)]
+
+
 def main_digests(work: Path) -> int:
     for argv in commands(work):
         if main(argv) != 0:
             print(f"failed: kronlift {' '.join(argv)}", file=sys.stderr)
             return 1
+    errors = work / "errors"
     for path in sorted(work.rglob("*")):
-        if not path.is_file():
+        if not path.is_file() or errors in path.parents:
             continue
         content = path.read_bytes()
         if path.name == "manifest.json":
@@ -65,6 +105,17 @@ def main_digests(work: Path) -> int:
             content = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
         print(path.relative_to(work).as_posix(),
               hashlib.sha256(content).hexdigest())
+    data = str(work / "case_a_step" / "synth" / "data.csv")
+    for label, argv in failing_commands(errors, data):
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--out", str(errors / label)])
+            line = stderr.getvalue().partition("\n")[0]
+        except Exception as exc:  # the console script's traceback, exit 1
+            code, line = 1, f"uncaught {type(exc).__name__}: {exc}"
+        print(f"fail/{label} exit={code}",
+              line.replace(str(work), "WORKDIR"))
     return 0
 
 
