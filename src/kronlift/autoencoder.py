@@ -88,12 +88,6 @@ def _sigmoid(z: np.ndarray, den: np.ndarray) -> np.ndarray:
     return z
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function of a new array."""
-    out = np.array(z, dtype=float)
-    return _sigmoid(out, np.empty_like(out))
-
-
 def init_model(d: int, seed: int, layer_sizes=None) -> AutoencoderModel:
     """Xavier-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases."""
     if d < 1:
@@ -358,7 +352,6 @@ def _rmse_series(model, scaler, columns, start: int) -> IndicatorSeries:
         start_index=start,
         values=score_matrix(model, scaler, columns),
         kind="RMSE",
-        normalization={"flagged_coords": int(np.sum(scaler.flagged))},
     )
 
 

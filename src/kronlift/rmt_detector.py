@@ -72,9 +72,10 @@ class DeviationRule:
 
 @dataclass(frozen=True)
 class RmtDetectorConfig:
+    """Settings of run_rmt; the covariance weights every window column 1/N'."""
+
     lift: LiftConfig
     window: WindowSpec = WindowSpec()
-    weights: np.ndarray | None = None  # per-column covariance weights
     test_function: TestFunction = entropy()
     use_residual: bool = True
     seed: int = 0
@@ -86,6 +87,7 @@ class RmtDetectorConfig:
     # normalized curves and the alarms are recomputed over the range.
     eval_from: int | None = None
     eval_to: int | None = None
+    weights = None  # a class attribute, not a field: readable, never set
 
     def __post_init__(self):
         check_seed(self.seed)
@@ -163,7 +165,7 @@ def _evaluate(
     for i, t in enumerate(times):
         W = window_at(lifted, int(t), cfg.window.width)
         try:
-            cov_eigs, ring_eigs = window_spectra(W, (cfg.seed, int(t)), cfg.weights)
+            cov_eigs, ring_eigs = window_spectra(W, (cfg.seed, int(t)))
             out[:, i] = les(cov_eigs, cfg.test_function), msr(ring_eigs)
         except KronliftError as exc:  # same class, so the same exit code
             raise type(exc)(f"window ending at t={t}: {exc}") from exc
@@ -275,7 +277,7 @@ def run_rmt(
     alarms += deviation_alarms(msr_norm, cfg.deviation_rule)
     alarms.sort(key=lambda a: (a.t, a.indicator))
 
-    snapshots = {t: summarize_window(W, seed=(cfg.seed, t), weights=cfg.weights)
+    snapshots = {t: summarize_window(W, seed=(cfg.seed, t))
                  for t, W in snap_windows.items()}
     return DetectionReport(
         les_curve=les_norm,

@@ -1,9 +1,12 @@
 """Covariance spectra and their theoretical references.
 
-Builds weighted sample covariances from data windows, extracts real
-(covariance) and complex (ring) spectra, and measures the distance of an
-empirical spectral distribution to the Marchenko-Pastur law (its cdf in
+Builds sample covariances from data windows, extracts real (covariance)
+and complex (ring) spectra, and measures the distance of an empirical
+spectral distribution to the unit-scale Marchenko-Pastur law (its cdf in
 closed form) and the annulus coverage against the single-ring reference.
+The detector weights every window column by 1/N' and lifts with the
+sqrt-dim scale, which puts each window on the unit-variance scale the
+law assumes.
 
 Aspect-ratio conventions: mp_law takes c = dimension / samples (so c > 1
 means a rank-deficient covariance with a point mass at zero), while the
@@ -13,7 +16,6 @@ conversion happens in exactly one place, summarize_window.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +49,11 @@ class SpectralSummary:
 
 
 class MarchenkoPastur:
-    """Marchenko-Pastur law with ratio c = dimension/samples and scale sigma2.
+    """Unit-scale Marchenko-Pastur law with ratio c = dimension/samples.
 
-    Support is sigma2*(1 +- sqrt(c))**2; for c > 1 the distribution has a
-    point mass 1 - 1/c at zero.  The cdf is in closed form: with
-    x = sigma2*(p + q*sin(theta)), p = 1 + c, q = 2*sqrt(c) and
+    Support is (1 +- sqrt(c))**2; for c > 1 the distribution has a point
+    mass 1 - 1/c at zero.  The cdf is in closed form: with
+    x = p + q*sin(theta), p = 1 + c, q = 2*sqrt(c) and
     d = |1 - c|, the density's mass on [a, x] is
     (2/pi)*(G(theta) - G(-pi/2)) for the antiderivative
     G(theta) = cos(theta)/q + p*theta/q**2
@@ -59,16 +61,13 @@ class MarchenkoPastur:
     whose arctan term vanishes at c = 1.
     """
 
-    def __init__(self, c: float, sigma2: float = 1.0):
+    def __init__(self, c: float):
         if not (c > 0.0) or not np.isfinite(c):
             raise ParameterError(f"mp_law ratio c must be positive, got {c}")
-        if not (sigma2 > 0.0) or not np.isfinite(sigma2):
-            raise ParameterError(f"sigma2 must be positive, got {sigma2}")
         self.c = float(c)
-        self.sigma2 = float(sigma2)
         sc = np.sqrt(c)
-        self._a = sigma2 * (1.0 - sc) ** 2
-        self._b = sigma2 * (1.0 + sc) ** 2
+        self._a = (1.0 - sc) ** 2
+        self._b = (1.0 + sc) ** 2
         self.atom_at_zero = max(0.0, 1.0 - 1.0 / c)
 
     @property
@@ -88,8 +87,7 @@ class MarchenkoPastur:
         a, b = self._a, self._b
         xs = np.clip(x, a, b)
         # phi = theta + pi/2 from its half-angle tangent sqrt((x-a)/(b-x))
-        # stays exact at the edges, where arcsin((x/sigma2 - p)/q) loses
-        # digits
+        # stays exact at the edges, where arcsin((x - p)/q) loses digits
         phi = 2.0 * np.arctan2(np.sqrt(xs - a), np.sqrt(b - xs))
         theta = phi - 0.5 * np.pi
         mass = (2.0 / np.pi) * (
@@ -100,9 +98,9 @@ class MarchenkoPastur:
         return float(out) if out.ndim == 0 else out
 
 
-def mp_law(c: float, sigma2: float = 1.0) -> MarchenkoPastur:
+def mp_law(c: float) -> MarchenkoPastur:
     """Marchenko-Pastur reference with ratio c = dimension/samples."""
-    return MarchenkoPastur(c, sigma2)
+    return MarchenkoPastur(c)
 
 
 def tensor_covariance(
@@ -148,13 +146,16 @@ def covariance_eigenvalues(M: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def ring_reference(c: float) -> tuple[float, float]:
-    """Single-ring annulus radii (inner, outer) for ratio c in (0, 1]."""
+def ring_reference(c: float) -> float:
+    """Inner radius of the single-ring annulus for ratio c in (0, 1].
+
+    The outer radius is 1 for every c: the rows have variance 1/N'.
+    """
     if not (0.0 < c <= 1.0):
         raise ParameterError(
             f"ring reference needs 0 < c <= 1, got {c}"
         )
-    return (float(np.sqrt(1.0 - c)), 1.0)
+    return float(np.sqrt(1.0 - c))
 
 
 def row_standardize(X: np.ndarray) -> np.ndarray:
@@ -177,24 +178,17 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))  # phase correction fixes the QR gauge
 
 
-def singular_value_equivalent(
-    X: np.ndarray, seed, *, row_normalize: bool = True
-) -> np.ndarray:
-    """sqrt(X X^T) times a seeded Haar unitary; optionally row-normalized.
+def singular_value_equivalent(X: np.ndarray, seed) -> np.ndarray:
+    """sqrt(X X^T) times a seeded Haar unitary, each row then rescaled to
+    empirical variance 1/N' (N' = X's column count).
 
-    The output shares the singular values of the PSD square root, so its
+    The product shares the singular values of the PSD square root, so its
     complex eigenvalues carry the window's singular spectrum onto the plane
-    where the ring reference applies.  With row_normalize each row is
-    rescaled to empirical variance 1/N'.
+    where the ring reference applies.  window_spectra passes X with no
+    more rows than columns.
     """
     X = np.asarray(X, dtype=float)
     p, n_cols = X.shape
-    if p > n_cols:
-        warnings.warn(
-            f"singular_value_equivalent: {p} rows exceed {n_cols} columns; "
-            "the spectrum is rank-deficient",
-            stacklevel=2,
-        )
     try:
         w, V = np.linalg.eigh(X @ X.T)
     except np.linalg.LinAlgError as exc:
@@ -203,12 +197,10 @@ def singular_value_equivalent(
     root = (V * np.sqrt(w)) @ V.T
     U = haar_unitary(p, np.random.default_rng(seed))
     Xu = root @ U
-    if row_normalize:
-        rv = Xu.var(axis=1)
-        if np.any(rv == 0.0):
-            raise NumericalError("zero-variance row after unitary mixing")
-        Xu = Xu * (1.0 / np.sqrt(n_cols * rv))[:, None]
-    return Xu
+    rv = Xu.var(axis=1)
+    if np.any(rv == 0.0):
+        raise NumericalError("zero-variance row after unitary mixing")
+    return Xu * (1.0 / np.sqrt(n_cols * rv))[:, None]
 
 
 def ring_coverage(ring_eigs: np.ndarray, inner: float) -> float:
@@ -248,17 +240,16 @@ def esd_ks_distance(eigs: np.ndarray, law) -> float:
     return float(min(1.0, d))
 
 
-def window_spectra(
-    W: np.ndarray, seed, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def window_spectra(W: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
     """Covariance eigenvalues and ring eigenvalues of one dim x N' window.
 
-    The ring runs in the orientation whose row count does not exceed its
-    column count: the other one would pin |dim - N'| eigenvalues at zero
-    and bury the ring.  Ring randomness comes from seed alone.
+    The covariance weights every column by 1/N'.  The ring runs in the
+    orientation whose row count does not exceed its column count: the
+    other one would pin |dim - N'| eigenvalues at zero and bury the ring.
+    Ring randomness comes from seed alone.
     """
     W = np.asarray(W, dtype=float)
-    cov_eigs = covariance_eigenvalues(tensor_covariance(W, weights))
+    cov_eigs = covariance_eigenvalues(tensor_covariance(W))
     A = W if W.shape[0] <= W.shape[1] else W.T
     Xu = singular_value_equivalent(row_standardize(A), seed)
     try:
@@ -268,12 +259,7 @@ def window_spectra(
     return cov_eigs, ring_eigs
 
 
-def summarize_window(
-    W: np.ndarray,
-    *,
-    seed,
-    weights: np.ndarray | None = None,
-) -> SpectralSummary:
+def summarize_window(W: np.ndarray, *, seed) -> SpectralSummary:
     """Full spectral summary of one dim x N' window.
 
     The MP reference uses c = dim/N' (see module docstring for the
@@ -283,10 +269,10 @@ def summarize_window(
     """
     W = np.asarray(W, dtype=float)
     dim, n_cols = W.shape
-    cov_eigs, ring_eigs = window_spectra(W, seed, weights)
+    cov_eigs, ring_eigs = window_spectra(W, seed)
     law = mp_law(dim / n_cols)  # the one dim/samples conversion site
     ks = esd_ks_distance(cov_eigs, law)
-    inner = ring_reference(min(dim, n_cols) / max(dim, n_cols))[0]
+    inner = ring_reference(min(dim, n_cols) / max(dim, n_cols))
     coverage = ring_coverage(ring_eigs, inner)
     return SpectralSummary(
         covariance_eigs=cov_eigs,

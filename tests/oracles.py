@@ -2,7 +2,8 @@
 
 Each one computes, one sample or one point at a time, something the
 library computes vectorized or in closed form: the lift of a single
-column, the Marchenko-Pastur density and its cdf by quadrature, one
+column, the Marchenko-Pastur density and its cdf by quadrature, the
+ring's Haar-mixed PSD square root before its rows are rescaled, one
 sample's reconstruction and its RMSE, and the data CSV read and written
 one cell at a time.  The autoencoder's training kernel has references
 too: the two-sided masked sigmoid and the plain full-batch Adam loop,
@@ -19,7 +20,7 @@ import numpy as np
 from kronlift.autoencoder import AutoencoderModel, TrainConfig
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
 from kronlift.errors import DimensionError, FormatError, NormalizationError
-from kronlift.spectral import MarchenkoPastur
+from kronlift.spectral import MarchenkoPastur, haar_unitary
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,7 +70,7 @@ def mp_pdf(law: MarchenkoPastur, x):
     inside = (x > a) & (x < b) & (x > 0.0)
     xi = x[inside]
     out[inside] = np.sqrt((b - xi) * (xi - a)) / (
-        2.0 * np.pi * law.sigma2 * law.c * xi
+        2.0 * np.pi * law.c * xi
     )
     return out if out.ndim else float(out)
 
@@ -78,11 +79,11 @@ def mp_cdf_reference(law: MarchenkoPastur, x) -> np.ndarray:
     """The law's cdf at points of its support [a, b]: the atom plus mp_pdf
     integrated over the angle phi of x = a + (b - a)*sin(phi/2)**2.
 
-    phi is theta + pi/2 for the library's x = sigma2*(1 + c +
-    2*sqrt(c)*sin(theta)), counted from the lower edge so that x - a keeps
-    every digit there.  Each integral runs on 64-node Gauss-Legendre
-    pieces split at phi = 10**-k, k = 12..1, which resolve the density's
-    1/sqrt(x) rise at c = 1 and its narrow peak near c = 1.
+    phi is theta + pi/2 for the library's x = 1 + c + 2*sqrt(c)*sin(theta),
+    counted from the lower edge so that x - a keeps every digit there.
+    Each integral runs on 64-node Gauss-Legendre pieces split at
+    phi = 10**-k, k = 12..1, which resolve the density's 1/sqrt(x) rise at
+    c = 1 and its narrow peak near c = 1.
     """
     a, b = law.support
     nodes, wts = np.polynomial.legendre.leggauss(64)
@@ -99,6 +100,17 @@ def mp_cdf_reference(law: MarchenkoPastur, x) -> np.ndarray:
             total += half * np.sum(wts * mp_pdf(law, x_t) * dx_dt)
         out.append(total)
     return np.array(out)
+
+
+def ring_product_reference(X: np.ndarray, seed) -> np.ndarray:
+    """sqrt(X X^T) times the Haar unitary drawn from seed, rows not rescaled.
+
+    singular_value_equivalent returns these rows scaled to variance 1/N'.
+    """
+    X = np.asarray(X, dtype=float)
+    w, V = np.linalg.eigh(X @ X.T)
+    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    return root @ haar_unitary(X.shape[0], np.random.default_rng(seed))
 
 
 def sigmoid_reference(z: np.ndarray) -> np.ndarray:

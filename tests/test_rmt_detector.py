@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -42,6 +43,18 @@ def small_config(**kw):
     )
     defaults.update(kw)
     return RmtDetectorConfig(**defaults)
+
+
+class TestRmtDetectorConfig:
+    def test_weights_cannot_be_set(self):
+        """weights is a class attribute, not a field: always uniform."""
+        assert [f.name for f in dataclasses.fields(RmtDetectorConfig)] == [
+            "lift", "window", "test_function", "use_residual", "seed",
+            "deviation_rule", "scale_mode", "eval_from", "eval_to"]
+        assert RmtDetectorConfig.weights is None
+        assert small_config().weights is None
+        with pytest.raises(TypeError):
+            RmtDetectorConfig(lift=LiftConfig(k=2, n=3), weights=np.ones(12))
 
 
 class TestWindowAt:
@@ -419,10 +432,10 @@ class TestParallelWindows:
         # first and the second child's chunks, so both children fail
         real_kernel = rmt_detector.window_spectra
 
-        def kernel(W, seed, weights):
+        def kernel(W, seed):
             if seed[1] in (30, 55):
                 raise NumericalError("injected")
-            return real_kernel(W, seed, weights)
+            return real_kernel(W, seed)
 
         monkeypatch.setattr(rmt_detector, "window_spectra", kernel)
         D = white_stm(6, 60, seed=25)

@@ -26,7 +26,7 @@ from kronlift.spectral import (
     tensor_covariance,
     window_spectra,
 )
-from oracles import mp_cdf_reference, mp_pdf
+from oracles import mp_cdf_reference, mp_pdf, ring_product_reference
 
 
 def mp_ppf(law, q, lo=None, hi=None):
@@ -118,19 +118,19 @@ class TestCovarianceEigenvalues:
 
 class TestMpLaw:
     def test_support_c075(self):
-        law = mp_law(0.75, 1.0)
+        law = mp_law(0.75)
         assert law.support[0] == pytest.approx(0.017949, abs=1e-6)
         assert law.support[1] == pytest.approx(3.482051, abs=1e-6)
 
     def test_support_c1(self):
-        law = mp_law(1.0, 1.0)
+        law = mp_law(1.0)
         assert law.support == (0.0, 4.0)
 
     def test_pdf_integrates_to_continuous_mass(self):
-        # change of variables x = s2*(1+c+2*sqrt(c)*sin(theta)) removes the
+        # change of variables x = 1+c+2*sqrt(c)*sin(theta) removes the
         # edge singularities, so plain Gauss-Legendre nails the integral
         for c in (0.3, 0.75, 1.0, 4.0 / 3.0, 2.0):
-            law = mp_law(c, 1.0)
+            law = mp_law(c)
             nodes, wts = np.polynomial.legendre.leggauss(400)
             theta = 0.5 * np.pi * nodes
             x = 1.0 + c + 2.0 * np.sqrt(c) * np.sin(theta)
@@ -141,14 +141,14 @@ class TestMpLaw:
             )
 
     def test_cdf_endpoints(self):
-        law = mp_law(0.75, 1.0)
+        law = mp_law(0.75)
         a, b = law.support
         assert law.cdf(a) == pytest.approx(0.0, abs=1e-12)
         assert law.cdf(b) == pytest.approx(1.0, abs=1e-12)
         assert law.cdf(b + 1.0) == 1.0
 
     def test_cdf_monotone(self):
-        law = mp_law(1.5, 1.0)
+        law = mp_law(1.5)
         xs = np.linspace(-0.5, law.support[1] + 0.5, 300)
         cs = law.cdf(xs)
         assert np.all(np.diff(cs) >= -1e-14)
@@ -156,7 +156,7 @@ class TestMpLaw:
         assert cs[-1] == 1.0
 
     def test_atom_for_c_above_one(self):
-        law = mp_law(2.0, 1.0)
+        law = mp_law(2.0)
         assert law.atom_at_zero == pytest.approx(0.5)
         assert law.cdf(0.0) == pytest.approx(0.5)
         assert law.cdf(-1e-9) == 0.0
@@ -165,21 +165,16 @@ class TestMpLaw:
         )
 
     def test_no_atom_for_c_below_one(self):
-        assert mp_law(0.5, 1.0).atom_at_zero == 0.0
+        assert mp_law(0.5).atom_at_zero == 0.0
 
-    def test_sigma_scaling(self):
-        law = mp_law(0.5, 2.0)
-        base = mp_law(0.5, 1.0)
-        assert law.support[1] == pytest.approx(2.0 * base.support[1])
-        assert law.cdf(2.0 * 1.3) == pytest.approx(base.cdf(1.3), abs=1e-12)
-
-    @pytest.mark.parametrize("sigma2", [1.0, 2.0])
+    # ids end in the law's scale (1.0), so each case keeps its name
     @pytest.mark.parametrize(
-        "c", [0.14, 0.5, 0.98, 0.999, 1.0, 1.001, 1.5, 3.645])
-    def test_cdf_matches_quadrature_reference(self, c, sigma2):
+        "c", [0.14, 0.5, 0.98, 0.999, 1.0, 1.001, 1.5, 3.645],
+        ids=lambda c: f"{c}-1.0")
+    def test_cdf_matches_quadrature_reference(self, c):
         # 0.999 to 1.001 is where a fixed quadrature rule loses digits and,
         # at c = 1, divides by zero at the lower edge
-        law = mp_law(c, sigma2)
+        law = mp_law(c)
         a, b = law.support
         xs = np.concatenate([[a + 1e-9 * (b - a)], np.linspace(a, b, 197)[1:]])
         with warnings.catch_warnings():
@@ -189,14 +184,14 @@ class TestMpLaw:
                                    rtol=0, atol=1e-12)
         assert got[-1] == 1.0
 
-    @pytest.mark.parametrize("sigma2", [1.0, 2.0])
-    def test_cdf_at_c1_is_elementary(self, sigma2):
-        # at c = 1 the mass below x = sigma2*(2 + 2*sin(theta)) is
+    @pytest.mark.parametrize("c", [1.0])
+    def test_cdf_at_c1_is_elementary(self, c):
+        # at c = 1 the mass below x = 2 + 2*sin(theta) is
         # (theta + cos(theta) + pi/2)/pi, down to the smallest x > 0
-        law = mp_law(1.0, sigma2)
+        law = mp_law(c)
         xs = np.concatenate([[5e-324, 1e-300, 1e-20, 1e-10, 2e-7],
-                             np.linspace(0.0, 4.0 * sigma2, 197)[1:-1]])
-        theta = 2.0 * np.arcsin(np.sqrt(xs / (4.0 * sigma2))) - 0.5 * np.pi
+                             np.linspace(0.0, 4.0, 197)[1:-1]])
+        theta = 2.0 * np.arcsin(np.sqrt(xs / 4.0)) - 0.5 * np.pi
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = law.cdf(xs)
@@ -207,22 +202,20 @@ class TestMpLaw:
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            mp_law(0.0, 1.0)
-        with pytest.raises(ParameterError):
-            mp_law(0.5, -1.0)
+            mp_law(0.0)
 
 
 class TestRingReference:
     def test_half(self):
-        inner, outer = ring_reference(0.5)
+        inner = ring_reference(0.5)
+        assert type(inner) is float
         assert inner == pytest.approx(0.70711, abs=1e-5)
-        assert outer == 1.0
 
     def test_full_disk(self):
-        assert ring_reference(1.0)[0] == 0.0
+        assert ring_reference(1.0) == 0.0
 
     def test_three_quarters(self):
-        assert ring_reference(0.75)[0] == pytest.approx(0.5)
+        assert ring_reference(0.75) == pytest.approx(0.5)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -291,7 +284,7 @@ class TestSingularValueEquivalent:
         # product is exactly the Haar unitary drawn from the same seed
         rng = np.random.default_rng(7)
         A = np.linalg.qr(rng.standard_normal((20, 8)))[0].T  # 8 x 20
-        Xu = singular_value_equivalent(A, seed=123, row_normalize=False)
+        Xu = ring_product_reference(A, seed=123)
         np.testing.assert_allclose(
             Xu, haar_unitary(8, np.random.default_rng(123)), atol=1e-12
         )
@@ -307,11 +300,22 @@ class TestSingularValueEquivalent:
     def test_singular_values_preserved_pre_normalization(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((7, 40))
-        Xu = singular_value_equivalent(X, seed=1, row_normalize=False)
+        Xu = ring_product_reference(X, seed=1)
         w = np.linalg.eigvalsh(X @ X.T)
         expected = np.sqrt(np.clip(w, 0.0, None))
         got = np.sort(np.linalg.svd(Xu, compute_uv=False))
         np.testing.assert_allclose(got, np.sort(expected), atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(7, 40), (8, 20), (12, 12)],
+                             ids=["7x40", "8x20", "12x12"])
+    def test_rows_of_reference_product_rescaled_bit_for_bit(self, shape):
+        # the library's rows are the oracle's product rows times
+        # 1/sqrt(N' var(row)), the same operations in the same order
+        X = np.random.default_rng(shape[0]).standard_normal(shape)
+        raw = ring_product_reference(X, seed=(4, 2))
+        want = raw * (1.0 / np.sqrt(shape[1] * raw.var(axis=1)))[:, None]
+        got = singular_value_equivalent(X, seed=(4, 2))
+        assert got.tobytes() == want.tobytes()
 
     def test_row_variances_normalized(self):
         rng = np.random.default_rng(10)
@@ -325,13 +329,13 @@ class TestSingularValueEquivalent:
         X = row_standardize(rng.standard_normal((p, q)))
         Xu = singular_value_equivalent(X, seed=3)
         eigs = np.linalg.eigvals(Xu)
-        inner = ring_reference(p / q)[0]
+        inner = ring_reference(p / q)
         assert ring_coverage(eigs, inner) >= 0.90
 
 
 class TestEsdKsDistance:
     def test_quantile_construction_small_distance(self):
-        law = mp_law(0.5, 1.0)
+        law = mp_law(0.5)
         m = 50
         eigs = np.array(
             [mp_ppf(law, (i + 0.5) / m) for i in range(m)]
@@ -339,13 +343,13 @@ class TestEsdKsDistance:
         assert esd_ks_distance(eigs, law) <= 0.5 / m + 1e-9
 
     def test_degenerate_spectrum_at_edge(self):
-        law = mp_law(0.5, 1.0)
+        law = mp_law(0.5)
         eigs = np.full(20, law.support[1])
         assert esd_ks_distance(eigs, law) >= 0.99
 
     def test_ordering_invariance_and_range(self):
         rng = np.random.default_rng(12)
-        law = mp_law(0.75, 1.0)
+        law = mp_law(0.75)
         eigs = rng.uniform(0.1, 3.0, size=40)
         d1 = esd_ks_distance(eigs, law)
         d2 = esd_ks_distance(eigs[::-1], law)
@@ -356,7 +360,7 @@ class TestEsdKsDistance:
         # for c=2 half the mass sits in the atom at zero; an ESD built from
         # 25 exact zeros plus quantiles of the continuous part must sit close
         # to the law, which the naive two-sided formula would miss
-        law = mp_law(2.0, 1.0)
+        law = mp_law(2.0)
         m = 25
         cont = [
             mp_ppf(law, 0.5 + 0.5 * (i + 0.5) / m) for i in range(m)
@@ -366,7 +370,7 @@ class TestEsdKsDistance:
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
-            esd_ks_distance(np.array([]), mp_law(1.0, 1.0))
+            esd_ks_distance(np.array([]), mp_law(1.0))
 
 
 class TestWindowSpectra:

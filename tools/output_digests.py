@@ -8,7 +8,13 @@ file sits in, on both packaged scenarios: `synth`; `detect-rmt --k 1
 all`; `detect-sae` training and `--checkpoint` scoring of its model; and,
 on case_a_step only, `detect-rmt` at k=2 over [201, 510] with the same
 snapshots and `esd-check --window 196 --snapshot-at 500`, whose 196 dims
-against 196 columns put the Marchenko-Pastur law at ratio c = 1.  Then it
+against 196 columns put the Marchenko-Pastur law at ratio c = 1, and
+`detect-rmt --k 1 --snapshot-at 500,501` under a copy of its config with
+detector `"scale_mode": "unit-norm"` and `"use_residual": true`, whose
+snapshot windows are rescaled to the sqrt-dim scale the reference laws
+assume (on the differenced data the snapshots' KS distance reads that
+scale; the config is written under WORKDIR/errors with the failing
+commands' inputs).  Then it
 prints one `relative-path sha256` line per file under WORKDIR (best
 empty or new), sorted.  A manifest is digested without its
 `duration_seconds`, re-dumped as the CLI writes it (`indent=2`), so its
@@ -43,6 +49,12 @@ from kronlift.data_model import SpatioTemporalMatrix, save_matrix  # noqa: E402
 
 
 def commands(work: Path):
+    inputs = work / "errors"
+    inputs.mkdir(parents=True, exist_ok=True)
+    unit_norm = inputs / "unit_norm.json"
+    doc = load_config("case_a_step")
+    doc["detector"].update(scale_mode="unit-norm", use_residual=True)
+    unit_norm.write_text(json.dumps(doc), encoding="utf-8")
     for name in ("case_a_step", "case_b_ramp"):
         d = work / name
         data = str(d / "synth" / "data.csv")
@@ -62,6 +74,9 @@ def commands(work: Path):
     yield ["esd-check", str(work / "case_a_step" / "synth" / "data.csv"),
            "--window", "196", "--snapshot-at", "500", "--config", "case_a_step",
            "--out", str(work / "case_a_step" / "esd_c1")]
+    yield ["detect-rmt", str(work / "case_a_step" / "synth" / "data.csv"),
+           "--k", "1", "--snapshot-at", "500,501", "--config", str(unit_norm),
+           "--out", str(work / "case_a_step" / "rmt_k1_unit_norm")]
 
 
 def failing_commands(errors: Path, data: str):
