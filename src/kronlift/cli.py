@@ -76,6 +76,16 @@ def _written(path: Path, write, *args) -> Path:
     return path
 
 
+def _claim(out: Path, *names: str) -> None:
+    """Refuse, before any work, an output name that a non-regular file holds:
+    a directory fails only at the write, and a FIFO blocks it."""
+    for name in names:
+        path = out / name
+        if path.exists() and not path.is_file():
+            reason = "Is a directory" if path.is_dir() else "not a regular file"
+            raise ConfigError(f"cannot write {path}: {reason}")
+
+
 def _put_lines(lines, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.writelines(line + "\n" for line in lines)
@@ -271,6 +281,7 @@ def _load_data(path_str: str) -> tuple[SpatioTemporalMatrix, dict[str, Path]]:
 
 
 def cmd_synth(args, out: Path):
+    _claim(out, "data.csv")
     cfg = scenario_from_dict(load_config(args.config).get("scenario", {}))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -297,6 +308,8 @@ def cmd_detect_rmt(args, out: Path):
                          DETECTOR_SCHEMA, args)
     settings.update(eval_from=args.eval_from, eval_to=args.eval_to)
     cfg = _detector(settings, M.channels)
+    _claim(out, "curves.csv", "alarms.jsonl",
+           *(f"snapshot_t{t}.json" for t in settings["snapshot_at"]))
     report = run_rmt(M, cfg, snapshot_at=settings["snapshot_at"])
 
     curves = zip(report.les_raw.times(), report.les_raw.values,
@@ -325,6 +338,7 @@ def cmd_detect_sae(args, out: Path):
                             seed=settings["seed"])
 
     if args.checkpoint:
+        _claim(out, "rmse.csv")
         checkpoint = Path(args.checkpoint)
         if checkpoint.exists() and not checkpoint.is_file():  # digested again
             raise FormatError(f"{checkpoint}: not a regular file")
@@ -334,6 +348,7 @@ def cmd_detect_sae(args, out: Path):
         settings["checkpoint"] = checkpoint.name
         outputs = [_write_rmse(out, series)]
     else:
+        _claim(out, "rmse.csv", "loss_trace.csv", "model.json")
         result = run_sae_detailed(M, lift, train_span=span, cfg=train_cfg)
         rmse_path = _write_rmse(out, result.series)
         trace_path = _write_lines(out / "loss_trace.csv", [
@@ -351,6 +366,7 @@ def _write_rmse(out: Path, series) -> Path:
 
 
 def cmd_esd_check(args, out: Path):
+    _claim(out, "summary.json", "histogram.csv", "ring_scatter.csv")
     M, inputs = _load_data(args.data)
     doc = load_config(args.config)
     cfg = _detector(_settings(doc, "detector", DETECTOR_SCHEMA, args),
@@ -453,6 +469,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         out = _out_dir(args.out)
+        _claim(out, "manifest.json")
         config, seed, inputs, outputs = args.func(args, out)
         write_manifest(out, args.command, config, seed, inputs, outputs, started)
     except KronliftError as exc:

@@ -108,41 +108,52 @@ def tensor_covariance(
 ) -> np.ndarray:
     """Weighted sample covariance sum_j tau_j x_j x_j^T over window columns.
 
-    weights holds tau_j, one per column; None means uniform 1/N'.
+    weights holds tau_j, one per column; None means uniform 1/N'.  The
+    uniform case is one X X^T product, which numpy hands to BLAS syrk: it
+    fills one triangle and mirrors it, so the result is exactly symmetric
+    and is the only dim x dim array built.  The weighted case, which only
+    tests pass, stays a general product, symmetrized after.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise DimensionError("window must be a non-empty 2-D matrix")
     n_cols = X.shape[1]
     if weights is None:
-        tau = np.full(n_cols, 1.0 / n_cols)
-    else:
-        tau = np.asarray(weights, dtype=float)
-        if tau.shape != (n_cols,):
-            raise DimensionError(
-                f"{tau.size} weights for {n_cols} window columns"
-            )
-        if not np.all(np.isfinite(tau)):
-            raise ParameterError("covariance weights must be finite")
+        M = X @ X.T
+        M *= 1.0 / n_cols
+        return M
+    tau = np.asarray(weights, dtype=float)
+    if tau.shape != (n_cols,):
+        raise DimensionError(
+            f"{tau.size} weights for {n_cols} window columns"
+        )
+    if not np.all(np.isfinite(tau)):
+        raise ParameterError("covariance weights must be finite")
     M = (X * tau) @ X.T
     return 0.5 * (M + M.T)  # exact symmetry despite accumulation roundoff
 
 
 def covariance_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Full ascending eigenvalue list of a symmetric matrix."""
+    """Full ascending eigenvalue list of a symmetric matrix.
+
+    An exactly symmetric M, as tensor_covariance returns, goes straight to
+    the solver.  Any other M, NaN included, must be symmetric to 1e-10
+    relative to its largest entry.
+    """
     M = np.asarray(M, dtype=float)
-    scale = np.max(np.abs(M)) if M.size else 0.0
-    asym = np.max(np.abs(M - M.T)) if M.size else 0.0
-    if asym > 1e-10 * max(scale, 1e-300):
-        raise PreconditionError(
-            f"matrix is not symmetric (relative asymmetry {asym / scale:.2e})"
-        )
+    if not np.array_equal(M, M.T):
+        scale = np.max(np.abs(M)) if M.size else 0.0
+        asym = np.max(np.abs(M - M.T)) if M.size else 0.0
+        if asym > 1e-10 * max(scale, 1e-300):
+            raise PreconditionError(
+                f"matrix is not symmetric (relative asymmetry {asym / scale:.2e})"
+            )
     try:
         return np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"symmetric eigensolver failed on {M.shape[0]}x{M.shape[1]} "
-            f"matrix with max entry {scale:.3e}: {exc}"
+            f"matrix with max entry {np.max(np.abs(M)):.3e}: {exc}"
         ) from exc
 
 
@@ -171,11 +182,14 @@ def row_standardize(X: np.ndarray) -> np.ndarray:
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    z = np.empty((n, n), dtype=complex)
+    z.real = rng.standard_normal((n, n))
+    z.imag = rng.standard_normal((n, n))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    return q * (d / np.abs(d))  # phase correction fixes the QR gauge
+    q *= d / np.abs(d)  # phase correction fixes the QR gauge
+    return q
 
 
 def singular_value_equivalent(X: np.ndarray, seed) -> np.ndarray:
@@ -193,14 +207,15 @@ def singular_value_equivalent(X: np.ndarray, seed) -> np.ndarray:
         w, V = np.linalg.eigh(X @ X.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"square-root eigendecomposition failed: {exc}") from exc
-    w = np.clip(w, 0.0, None)
+    np.clip(w, 0.0, None, out=w)
     root = (V * np.sqrt(w)) @ V.T
     U = haar_unitary(p, np.random.default_rng(seed))
     Xu = root @ U
     rv = Xu.var(axis=1)
     if np.any(rv == 0.0):
         raise NumericalError("zero-variance row after unitary mixing")
-    return Xu * (1.0 / np.sqrt(n_cols * rv))[:, None]
+    Xu *= (1.0 / np.sqrt(n_cols * rv))[:, None]
+    return Xu
 
 
 def ring_coverage(ring_eigs: np.ndarray, inner: float) -> float:

@@ -673,6 +673,43 @@ def test_non_regular_input_exits_2(small_data, tmp_path, source):
         f"kronlift {argv[0]}: {path}: not a regular file\n"
 
 
+@pytest.mark.parametrize("command,name,work", [
+    ("detect-rmt", "curves.csv", "run_rmt"),
+    ("detect-rmt", "snapshot_t40.json", "run_rmt"),
+    ("detect-rmt", "manifest.json", "run_rmt"),
+    ("detect-sae", "loss_trace.csv", "run_sae_detailed"),
+    ("esd-check", "ring_scatter.csv", "summarize_window"),
+])
+def test_taken_output_name_exits_2_before_any_work(
+        small_data, tmp_path, capsys, monkeypatch, command, name, work):
+    def never(*a, **kw):
+        raise AssertionError(f"{work} called")
+
+    monkeypatch.setattr(f"kronlift.cli.{work}", never)
+    data, cfg = small_data
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    snapshots = ["--snapshot-at", "40"] if command == "detect-rmt" else []
+    capsys.readouterr()
+    rc = main([command, data, *snapshots, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"kronlift {command}: cannot write {out / name}: Is a directory\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_fifo_output_exits_2_without_blocking(small_data, tmp_path):
+    data, cfg = small_data
+    out = tmp_path / "o"
+    out.mkdir()
+    os.mkfifo(out / "summary.json")
+    done = _run_cli(["esd-check", data, "--config", cfg, "--out", str(out)],
+                    b"")
+    assert done.returncode == 2
+    assert done.stderr.decode() == (f"kronlift esd-check: cannot write "
+                                    f"{out / 'summary.json'}: not a regular file\n")
+
+
 MANIFEST_CONFIGS = [
     (["synth"], {
         "channels": 4, "samples": 60, "baselines": 1.0, "white_sigma": 0.01,

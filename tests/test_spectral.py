@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -87,6 +88,26 @@ class TestTensorCovariance:
         with pytest.raises(DimensionError):
             tensor_covariance(np.ones((3, 4)), np.ones(5))
 
+    def test_strided_window_exactly_symmetric(self):
+        # a window view of a wider record, dim > N', as window_at returns
+        record = np.random.default_rng(12).standard_normal((150, 90))
+        W = record[:, 20:60]
+        M = tensor_covariance(W)
+        np.testing.assert_array_equal(M, M.T)
+        weighted = tensor_covariance(W, np.full(40, 1.0 / 40))
+        assert np.max(np.abs(M - weighted)) <= 1e-14 * np.max(np.abs(weighted))
+
+    def test_les_path_holds_one_dim_by_dim_matrix(self):
+        record = np.random.default_rng(13).standard_normal((400, 160))
+        W = record[:, 30:130]
+        tracemalloc.start()
+        try:
+            covariance_eigenvalues(tensor_covariance(W))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 400 * 400 * 8
+
 
 class TestCovarianceEigenvalues:
     def test_identity(self):
@@ -112,8 +133,23 @@ class TestCovarianceEigenvalues:
         assert eigs.sum() == pytest.approx(np.trace(M), rel=1e-8)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^matrix is not symmetric "
+                           r"\(relative asymmetry 1\.00e\+00\)$"):
             covariance_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_accepts_asymmetry_within_tolerance(self):
+        M = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
+        np.testing.assert_array_equal(covariance_eigenvalues(M),
+                                      np.linalg.eigvalsh(M))
+
+    def test_nan_reaches_the_solver(self):
+        # NaN fails no tolerance, so the solver sees it and reads its
+        # lower triangle; an all-NaN matrix gives NaN eigenvalues
+        M = np.eye(3)
+        M[0, 1] = np.nan
+        np.testing.assert_array_equal(covariance_eigenvalues(M),
+                                      np.linalg.eigvalsh(M))
+        assert np.isnan(covariance_eigenvalues(np.full((2, 2), np.nan))).all()
 
 
 class TestMpLaw:

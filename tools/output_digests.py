@@ -7,14 +7,18 @@ file sits in, on both packaged scenarios: `synth`; `detect-rmt --k 1
 --snapshot-at 500,501`; `esd-check --snapshot-at 500` and `--snapshot-at
 all`; `detect-sae` training and `--checkpoint` scoring of its model; and,
 on case_a_step only, `detect-rmt` at k=2 over [201, 510] with the same
-snapshots and `esd-check --window 196 --snapshot-at 500`, whose 196 dims
-against 196 columns put the Marchenko-Pastur law at ratio c = 1, and
-`detect-rmt --k 1 --snapshot-at 500,501` under a copy of its config with
-detector `"scale_mode": "unit-norm"` and `"use_residual": true`, whose
-snapshot windows are rescaled to the sqrt-dim scale the reference laws
-assume (on the differenced data the snapshots' KS distance reads that
-scale; the config is written under WORKDIR/errors with the failing
-commands' inputs).  Then it
+snapshots; `esd-check --window 196 --snapshot-at 500`, whose 196 dims
+against 196 columns put the Marchenko-Pastur law at ratio c = 1;
+`esd-check --window 100 --snapshot-at 500`, whose 196 dims against 100
+columns give a rank-deficient covariance and a ring on the transposed
+window; `detect-rmt --k 1 --snapshot-at 500,501` under a copy of its
+config with detector `"use_residual": true`, whose differenced windows
+tell one snapshot from another where the undifferenced k=1 ones all read
+the same KS distance; and the same run with `"scale_mode": "unit-norm"`
+as well, whose snapshot windows are rescaled to the sqrt-dim scale the
+reference laws assume (on the differenced data the snapshots' KS
+distance reads that scale).  The two configs are written under
+WORKDIR/errors with the failing commands' inputs.  Then it
 prints one `relative-path sha256` line per file under WORKDIR (best
 empty or new), sorted.  A manifest is digested without its
 `duration_seconds`, re-dumped as the CLI writes it (`indent=2`), so its
@@ -51,10 +55,13 @@ from kronlift.data_model import SpatioTemporalMatrix, save_matrix  # noqa: E402
 def commands(work: Path):
     inputs = work / "errors"
     inputs.mkdir(parents=True, exist_ok=True)
-    unit_norm = inputs / "unit_norm.json"
-    doc = load_config("case_a_step")
-    doc["detector"].update(scale_mode="unit-norm", use_residual=True)
-    unit_norm.write_text(json.dumps(doc), encoding="utf-8")
+    differenced = {}
+    for label, scale_mode in (("residual", "sqrt-dim"),
+                              ("unit_norm", "unit-norm")):
+        doc = load_config("case_a_step")
+        doc["detector"].update(scale_mode=scale_mode, use_residual=True)
+        differenced[label] = inputs / f"{label}.json"
+        differenced[label].write_text(json.dumps(doc), encoding="utf-8")
     for name in ("case_a_step", "case_b_ramp"):
         d = work / name
         data = str(d / "synth" / "data.csv")
@@ -71,12 +78,15 @@ def commands(work: Path):
            "--eval-from", "201", "--eval-to", "510", "--snapshot-at", "500,501",
            "--config", "case_a_step",
            "--out", str(work / "case_a_step" / "rmt_k2")]
-    yield ["esd-check", str(work / "case_a_step" / "synth" / "data.csv"),
-           "--window", "196", "--snapshot-at", "500", "--config", "case_a_step",
-           "--out", str(work / "case_a_step" / "esd_c1")]
-    yield ["detect-rmt", str(work / "case_a_step" / "synth" / "data.csv"),
-           "--k", "1", "--snapshot-at", "500,501", "--config", str(unit_norm),
-           "--out", str(work / "case_a_step" / "rmt_k1_unit_norm")]
+    for width, label in (("196", "esd_c1"), ("100", "esd_w100")):
+        yield ["esd-check", str(work / "case_a_step" / "synth" / "data.csv"),
+               "--window", width, "--snapshot-at", "500",
+               "--config", "case_a_step",
+               "--out", str(work / "case_a_step" / label)]
+    for label, config in differenced.items():
+        yield ["detect-rmt", str(work / "case_a_step" / "synth" / "data.csv"),
+               "--k", "1", "--snapshot-at", "500,501", "--config", str(config),
+               "--out", str(work / "case_a_step" / f"rmt_k1_{label}")]
 
 
 def failing_commands(errors: Path, data: str):
