@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import IndicatorSeries, LiftConfig, SpatioTemporalMatrix, check_seed
-from .errors import ConfigError, DimensionError, DivergenceError
+from .errors import ConfigError, NumericalError, PreconditionError
 from .lift import lift_matrix
 
 DEFAULT_HIDDEN = (48, 24, 48)
@@ -254,7 +254,7 @@ def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] != model.layer_sizes[0]:
-        raise DimensionError(
+        raise PreconditionError(
             f"training data must be {model.layer_sizes[0]} x m, "
             f"got {data.shape}"
         )
@@ -265,11 +265,11 @@ def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
     for it in range(cfg.max_iterations):
         loss = ws.loss_grad(X)
         if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at iteration {it}")
+            raise NumericalError(f"non-finite loss at iteration {it}")
         losses[it] = loss
         adam.update(ws.theta, ws.grad)
     if not np.all(np.isfinite(ws.theta)):
-        raise DivergenceError(
+        raise NumericalError(
             f"non-finite parameters after iteration {cfg.max_iterations}"
         )
     tol = 1.1 * losses[-1]

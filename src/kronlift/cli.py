@@ -51,7 +51,7 @@ from .data_model import (
     residual_matrix,
     save_matrix,
 )
-from .errors import ConfigError, FormatError, KronliftError
+from .errors import ConfigError, KronliftError
 from .indicators import TestFunction, chebyshev, entropy, likelihood_ratio
 from .lift import lift_matrix
 from .rmt_detector import DeviationRule, RmtDetectorConfig, run_rmt, window_at
@@ -341,7 +341,7 @@ def cmd_detect_sae(args, out: Path):
         _claim(out, "rmse.csv")
         checkpoint = Path(args.checkpoint)
         if checkpoint.exists() and not checkpoint.is_file():  # digested again
-            raise FormatError(f"{checkpoint}: not a regular file")
+            raise ConfigError(f"{checkpoint}: not a regular file")
         model, scaler = load_checkpoint(args.checkpoint)
         series = score_sae(M, lift, model, scaler, span)
         inputs[checkpoint.name] = checkpoint

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, PreconditionError
 
 DEFAULT_DIM_CAP = 4096
 MAX_SEGMENTS = 4
@@ -116,15 +116,13 @@ class IndicatorSeries:
     """A per-time-step indicator curve (LES, MSR, or RMSE).
 
     start_index is the time of the first value; value j belongs to time
-    start_index + j * stride.  normalization records the scale divided out
-    by indicator normalization (None while the curve is raw).
+    start_index + j * stride.
     """
 
     start_index: int
     values: np.ndarray
     kind: str
     stride: int = 1
-    normalization: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -145,7 +143,7 @@ def residual_matrix(D: SpatioTemporalMatrix) -> SpatioTemporalMatrix:
     public time t holds D(t) - D(t-1).
     """
     if D.samples < 2:
-        raise DimensionError("residual_matrix needs at least 2 samples")
+        raise PreconditionError("residual_matrix needs at least 2 samples")
     diff = D.values[:, 1:] - D.values[:, :-1]
     return SpatioTemporalMatrix(
         values=diff, channel_ids=list(D.channel_ids), t0=D.t0 + 1
@@ -160,20 +158,20 @@ def load_matrix(path) -> SpatioTemporalMatrix:
     its first value is t0, which must be >= 0, and each later one must be
     the previous one + 1.  Cells are C decimal floats, optionally in
     double quotes, and t is an int64; a file that breaks a rule raises
-    the FormatError of its first bad line, found by reading it again, so
+    the ConfigError of its first bad line, found by reading it again, so
     path must name a regular file, not a pipe or FIFO.
     """
     path = Path(path)
     if not path.exists():
-        raise FormatError(f"input file not found: {path}")
+        raise ConfigError(f"input file not found: {path}")
     if not path.is_file():
-        raise FormatError(f"{path}: not a regular file")
+        raise ConfigError(f"{path}: not a regular file")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             try:
                 header = [h.strip() for h in next(csv.reader(fh))]
             except StopIteration:
-                raise FormatError(f"{path}: empty file") from None
+                raise ConfigError(f"{path}: empty file") from None
             has_t = bool(header) and header[0] == "t"
             ids = header[1:] if has_t else header
             columns = [("t", "i8")] * has_t + [("v", "f8", (len(ids),))]
@@ -198,8 +196,8 @@ def load_matrix(path) -> SpatioTemporalMatrix:
                         values=values, channel_ids=ids, t0=int(t[0]))
         c_only = _check_lines(path, len(header), has_t)
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    raise FormatError(f"{path}: {c_only or error}")
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    raise ConfigError(f"{path}: {c_only or error}")
 
 
 def _c_text(text: str) -> bool:
@@ -239,7 +237,7 @@ def _check_lines(path: Path, width: int, has_t: bool) -> str | None:
             if not row:
                 continue
             if len(row) != width:
-                raise FormatError(
+                raise ConfigError(
                     f"{path}: line {lineno} has {len(row)} fields, "
                     f"expected {width}"
                 )
@@ -247,16 +245,16 @@ def _check_lines(path: Path, width: int, has_t: bool) -> str | None:
                 try:
                     t = int(row[0])
                 except ValueError:
-                    raise FormatError(
+                    raise ConfigError(
                         f"{path}: line {lineno}: bad time index {row[0]!r}"
                     ) from None
                 if t_prev is None:
                     if t < 0:
-                        raise FormatError(
+                        raise ConfigError(
                             f"{path}: line {lineno}: time index {t} is negative"
                         )
                 elif t != t_prev + 1:
-                    raise FormatError(
+                    raise ConfigError(
                         f"{path}: line {lineno}: time index {t} does not "
                         f"follow {t_prev}"
                     )
@@ -265,15 +263,15 @@ def _check_lines(path: Path, width: int, has_t: bool) -> str | None:
                 for x in row[1:] if has_t else row:
                     float(x)
             except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from None
             bad = [x for x in row if not _c_text(x)]
             if bad and c_only is None:
                 c_only = f"line {lineno}: {bad[0]!r} is not ASCII text"
             samples += 1
     if not samples:
-        raise FormatError(f"{path}: no samples")
+        raise ConfigError(f"{path}: no samples")
     if width - has_t < 2:
-        raise DimensionError(
+        raise PreconditionError(
             f"{path}: need at least 2 channels, got {width - has_t}"
         )
     return c_only

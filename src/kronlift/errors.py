@@ -1,7 +1,8 @@
 """Error taxonomy shared by all modules.
 
-Three top-level families map onto CLI exit codes:
-ConfigError -> 2, PreconditionError -> 3, NumericalError -> 4.
+One family per CLI exit code: ConfigError -> 2, PreconditionError -> 3,
+NumericalError -> 4.  The message names the cause; no caller tells two
+errors of one family apart by class.
 """
 
 
@@ -25,35 +26,3 @@ class NumericalError(KronliftError):
     """A numerical procedure failed (solver non-convergence, divergence)."""
 
     exit_code = 4
-
-
-class FormatError(ConfigError):
-    """Malformed input file (ragged rows, non-numeric cells, bad JSON)."""
-
-
-class ParameterError(ConfigError):
-    """A scalar parameter is outside its legal domain."""
-
-
-class DimensionError(PreconditionError):
-    """Shapes or sizes do not line up."""
-
-
-class NormalizationError(PreconditionError):
-    """A vector or curve that must be normalized has no valid scale."""
-
-
-class WindowError(PreconditionError):
-    """Not enough history for the requested window position."""
-
-
-class StandardizationError(PreconditionError):
-    """A row with zero empirical variance cannot be standardized."""
-
-
-class DomainError(PreconditionError):
-    """A value lies outside a test function's domain."""
-
-
-class DivergenceError(NumericalError):
-    """Training produced a non-finite loss."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_model import IndicatorSeries
-from .errors import ConfigError, DimensionError, DomainError, NormalizationError
+from .errors import ConfigError, PreconditionError
 
 EIGENVALUE_FLOOR = 1e-12
 NEGATIVE_TOLERANCE = 1e-9  # relative to the largest magnitude eigenvalue
@@ -82,11 +82,11 @@ def les(eigs: np.ndarray, phi: TestFunction) -> float:
     """
     lam = np.asarray(eigs, dtype=float).ravel()
     if lam.size == 0:
-        raise DimensionError("empty spectrum")
+        raise PreconditionError("empty spectrum")
     if phi.needs_nonnegative:
         scale = np.max(np.abs(lam))
         if np.min(lam) < -NEGATIVE_TOLERANCE * max(scale, 1e-300):
-            raise DomainError(
+            raise PreconditionError(
                 f"negative eigenvalue {np.min(lam):.3e} outside the "
                 f"{phi.kind} test function's domain"
             )
@@ -98,17 +98,15 @@ def msr(ring_eigs: np.ndarray) -> float:
     """Mean spectral radius: arithmetic mean of complex eigenvalue moduli."""
     lam = np.asarray(ring_eigs).ravel()
     if lam.size == 0:
-        raise DimensionError("empty spectrum")
+        raise PreconditionError("empty spectrum")
     return float(np.mean(np.abs(lam)))
 
 
 def normalize_curve(series: IndicatorSeries) -> IndicatorSeries:
-    """Divide the curve by its maximum, recording the scale in metadata."""
+    """Divide the curve by its maximum."""
     peak = float(np.max(series.values)) if series.values.size else 0.0
     if peak <= 0.0:
-        raise NormalizationError(
+        raise PreconditionError(
             "curve has no strictly positive value to normalize by"
         )
-    meta = dict(series.normalization)
-    meta["max"] = meta.get("max", 1.0) * peak
-    return replace(series, values=series.values / peak, normalization=meta)
+    return replace(series, values=series.values / peak)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import LiftConfig, SpatioTemporalMatrix
-from .errors import ConfigError, DimensionError, NormalizationError
+from .errors import ConfigError, PreconditionError
 
 SCALE_MODES = ("unit-norm", "sqrt-dim")
 
@@ -48,7 +48,7 @@ def lift_matrix(
     if scale_mode not in SCALE_MODES:
         raise ConfigError(f"scale_mode must be one of {SCALE_MODES}")
     if D.channels != cfg.channels:
-        raise DimensionError(
+        raise PreconditionError(
             f"{D.channels} channels do not match k*n = {cfg.channels}"
         )
     N = D.samples
@@ -57,7 +57,7 @@ def lift_matrix(
     bad = np.argwhere(norms == 0.0)
     if bad.size:
         l, j = bad[0]
-        raise NormalizationError(f"zero segment {l + 1} at t={D.t0 + j}")
+        raise PreconditionError(f"zero segment {l + 1} at t={D.t0 + j}")
     unit = segs / norms[:, None, :]
     out = unit[0]
     for l in range(1, cfg.k):

@@ -33,7 +33,7 @@ from .data_model import (
     check_seed,
     residual_matrix,
 )
-from .errors import ConfigError, KronliftError, WindowError
+from .errors import ConfigError, KronliftError, PreconditionError
 from .indicators import TestFunction, entropy, les, msr, normalize_curve
 from .lift import SCALE_MODES, LiftedMatrix, lift_matrix
 from .spectral import SpectralSummary, summarize_window, window_spectra
@@ -115,7 +115,7 @@ class DetectionReport:
 def _window_ends(data, width: int) -> tuple[int, int]:
     """First and last public times a width-column window of data can end at."""
     if data.samples < width:
-        raise WindowError(f"{data.samples} usable samples < window width {width}")
+        raise PreconditionError(f"{data.samples} usable samples < window width {width}")
     return data.t0 + width - 1, data.t0 + data.samples - 1
 
 
@@ -123,7 +123,7 @@ def window_at(lifted: LiftedMatrix, t: int, width: int) -> np.ndarray:
     """The width most recent lifted columns ending at public time t."""
     first, last = _window_ends(lifted, width)
     if t < first or t > last:
-        raise WindowError(
+        raise PreconditionError(
             f"window ending at t={t} needs t in [{first}, {last}]"
         )
     j = t - lifted.t0
@@ -254,7 +254,7 @@ def run_rmt(
     lo = first if cfg.eval_from is None else max(first, int(cfg.eval_from))
     hi = last if cfg.eval_to is None else min(last, int(cfg.eval_to))
     if lo > hi:
-        raise WindowError(
+        raise PreconditionError(
             f"evaluation range [{cfg.eval_from}, {cfg.eval_to}] is empty "
             f"within valid times [{first}, {last}]"
         )

@@ -3,10 +3,10 @@
 Builds sample covariances from data windows, extracts real (covariance)
 and complex (ring) spectra, and measures the distance of an empirical
 spectral distribution to the unit-scale Marchenko-Pastur law (its cdf in
-closed form) and the annulus coverage against the single-ring reference.
-The detector weights every window column by 1/N' and lifts with the
-sqrt-dim scale, which puts each window on the unit-variance scale the
-law assumes.
+closed form) and the annulus coverage of the ring, rescaled to outer
+radius 1, against the single-ring reference.  The detector weights every
+window column by 1/N' and lifts with the sqrt-dim scale, which puts each
+window on the unit-variance scale the law assumes.
 
 Aspect-ratio conventions: mp_law takes c = dimension / samples (so c > 1
 means a rank-deficient covariance with a point mass at zero), while the
@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    NumericalError,
-    ParameterError,
-    PreconditionError,
-    StandardizationError,
-)
+from .errors import ConfigError, NumericalError, PreconditionError
 
 RING_INNER_SLACK = 0.05
 RING_OUTER_EDGE = 1.05
@@ -63,7 +57,7 @@ class MarchenkoPastur:
 
     def __init__(self, c: float):
         if not (c > 0.0) or not np.isfinite(c):
-            raise ParameterError(f"mp_law ratio c must be positive, got {c}")
+            raise ConfigError(f"mp_law ratio c must be positive, got {c}")
         self.c = float(c)
         sc = np.sqrt(c)
         self._a = (1.0 - sc) ** 2
@@ -116,7 +110,7 @@ def tensor_covariance(
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
-        raise DimensionError("window must be a non-empty 2-D matrix")
+        raise PreconditionError("window must be a non-empty 2-D matrix")
     n_cols = X.shape[1]
     if weights is None:
         M = X @ X.T
@@ -124,11 +118,11 @@ def tensor_covariance(
         return M
     tau = np.asarray(weights, dtype=float)
     if tau.shape != (n_cols,):
-        raise DimensionError(
+        raise PreconditionError(
             f"{tau.size} weights for {n_cols} window columns"
         )
     if not np.all(np.isfinite(tau)):
-        raise ParameterError("covariance weights must be finite")
+        raise ConfigError("covariance weights must be finite")
     M = (X * tau) @ X.T
     return 0.5 * (M + M.T)  # exact symmetry despite accumulation roundoff
 
@@ -160,10 +154,10 @@ def covariance_eigenvalues(M: np.ndarray) -> np.ndarray:
 def ring_reference(c: float) -> float:
     """Inner radius of the single-ring annulus for ratio c in (0, 1].
 
-    The outer radius is 1 for every c: the rows have variance 1/N'.
+    The outer radius is 1 on the unit scale summarize_window puts the ring on.
     """
     if not (0.0 < c <= 1.0):
-        raise ParameterError(
+        raise ConfigError(
             f"ring reference needs 0 < c <= 1, got {c}"
         )
     return float(np.sqrt(1.0 - c))
@@ -176,7 +170,7 @@ def row_standardize(X: np.ndarray) -> np.ndarray:
     std = X.std(axis=1, keepdims=True)
     dead = np.flatnonzero(std.ravel() <= DEAD_ROW_RTOL * np.abs(X).max(axis=1))
     if dead.size:
-        raise StandardizationError(f"row {dead[0]} has zero variance")
+        raise PreconditionError(f"row {dead[0]} has zero variance")
     return (X - mean) / std
 
 
@@ -222,7 +216,7 @@ def ring_coverage(ring_eigs: np.ndarray, inner: float) -> float:
     """Fraction of eigenvalue moduli in [inner - RING_INNER_SLACK, RING_OUTER_EDGE]."""
     r = np.abs(np.asarray(ring_eigs))
     if r.size == 0:
-        raise DimensionError("empty ring spectrum")
+        raise PreconditionError("empty ring spectrum")
     return float(np.mean((r >= inner - RING_INNER_SLACK) & (r <= RING_OUTER_EDGE)))
 
 
@@ -236,7 +230,7 @@ def esd_ks_distance(eigs: np.ndarray, law) -> float:
     """
     lam = np.asarray(eigs, dtype=float).ravel()
     if lam.size == 0:
-        raise DimensionError("empty spectrum")
+        raise PreconditionError("empty spectrum")
     scale = np.max(np.abs(lam))
     if scale > 0.0:
         # numerically-zero eigenvalues of rank-deficient windows become exact
@@ -279,16 +273,18 @@ def summarize_window(W: np.ndarray, *, seed) -> SpectralSummary:
 
     The MP reference uses c = dim/N' (see module docstring for the
     convention; the summary's c_ratio field is the reciprocal N'/dim).
-    The ring reference uses the ratio of the ring orientation chosen by
-    window_spectra, rows over columns.
+    The ring reference uses the ratio c of the ring orientation chosen by
+    window_spectra, rows over columns.  That ring's rows have variance 1/N',
+    so ring_coverage reads its moduli over its outer radius sqrt(c).
     """
     W = np.asarray(W, dtype=float)
     dim, n_cols = W.shape
     cov_eigs, ring_eigs = window_spectra(W, seed)
     law = mp_law(dim / n_cols)  # the one dim/samples conversion site
     ks = esd_ks_distance(cov_eigs, law)
-    inner = ring_reference(min(dim, n_cols) / max(dim, n_cols))
-    coverage = ring_coverage(ring_eigs, inner)
+    c_ring = min(dim, n_cols) / max(dim, n_cols)
+    inner = ring_reference(c_ring)
+    coverage = ring_coverage(ring_eigs / np.sqrt(c_ring), inner)
     return SpectralSummary(
         covariance_eigs=cov_eigs,
         ring_eigs=ring_eigs,

@@ -25,7 +25,7 @@ from .data_model import (
     number,
     read_section,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 
 ANOMALY_KINDS = ("step", "ramp")
 
@@ -68,9 +68,9 @@ class NoiseConfig:
 
     def __post_init__(self):
         if not (abs(self.b) < 1.0):
-            raise ParameterError(f"AR coefficient must satisfy |b| < 1, got {self.b}")
+            raise ConfigError(f"AR coefficient must satisfy |b| < 1, got {self.b}")
         if not (self.snr > 0.0):
-            raise ParameterError(f"snr must be positive, got {self.snr}")
+            raise ConfigError(f"snr must be positive, got {self.snr}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,6 @@ def colored_noise(
     stationary law, then N-1 innovations with variance 1 - b**2.
     """
     b = noise.b
-    if not (abs(b) < 1.0):
-        raise ParameterError(f"|b| must be < 1, got {b}")
     E = np.empty((P, N))
     scale = np.sqrt(1.0 - b * b)
     for i in range(P):
@@ -144,9 +142,9 @@ def snr_scale(D: np.ndarray, E: np.ndarray, snr: float) -> float:
     var_d = float(np.var(D))
     var_e = float(np.var(E))
     if var_e <= 0.0:
-        raise ParameterError("noise field has zero variance")
+        raise ConfigError("noise field has zero variance")
     if snr <= 0.0:
-        raise ParameterError("snr must be positive")
+        raise ConfigError("snr must be positive")
     if var_d == 0.0:
         warnings.warn(
             "signal matrix is exactly constant; snr scale set to 0",

@@ -19,7 +19,7 @@ import numpy as np
 
 from kronlift.autoencoder import AutoencoderModel, TrainConfig
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
-from kronlift.errors import DimensionError, FormatError, NormalizationError
+from kronlift.errors import ConfigError, PreconditionError
 from kronlift.spectral import MarchenkoPastur, haar_unitary
 
 
@@ -28,7 +28,7 @@ def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
-        raise DimensionError("kronecker factors must be non-empty")
+        raise PreconditionError("kronecker factors must be non-empty")
     return (a[:, None] * b[None, :]).ravel()
 
 
@@ -37,7 +37,7 @@ def normalize_segment(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
-        raise NormalizationError("cannot normalize zero segment")
+        raise PreconditionError("cannot normalize zero segment")
     return v / nrm
 
 
@@ -48,7 +48,7 @@ def lift_column(d: np.ndarray, cfg: LiftConfig) -> np.ndarray:
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (cfg.channels,):
-        raise DimensionError(
+        raise PreconditionError(
             f"column length {d.size} does not match k*n = {cfg.channels}"
         )
     segments = d.reshape(cfg.k, cfg.n)
@@ -56,7 +56,7 @@ def lift_column(d: np.ndarray, cfg: LiftConfig) -> np.ndarray:
     for l in range(cfg.k):
         nrm = np.linalg.norm(segments[l])
         if nrm == 0.0:
-            raise NormalizationError(f"zero segment {l + 1}")
+            raise PreconditionError(f"zero segment {l + 1}")
         u = segments[l] / nrm
         out = u if out is None else kronecker(out, u)
     return out
@@ -172,7 +172,7 @@ def forward(model: AutoencoderModel, x: np.ndarray):
     """Reconstruct one sample layer by layer; (reconstruction, activations)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.layer_sizes[0],):
-        raise DimensionError(
+        raise PreconditionError(
             f"input length {x.size} != model dimension {model.layer_sizes[0]}"
         )
     acts = [x]
@@ -198,13 +198,13 @@ def load_matrix_reference(path) -> SpatioTemporalMatrix:
     parses (1_000, non-ASCII digits, a time beyond int64)."""
     path = Path(path)
     if not path.exists():
-        raise FormatError(f"input file not found: {path}")
+        raise ConfigError(f"input file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
+            raise ConfigError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         has_t = bool(header) and header[0] == "t"
         ids = header[1:] if has_t else header
@@ -216,7 +216,7 @@ def load_matrix_reference(path) -> SpatioTemporalMatrix:
             if not row:
                 continue
             if len(row) != len(header):
-                raise FormatError(
+                raise ConfigError(
                     f"{path}: line {lineno} has {len(row)} fields, "
                     f"expected {len(header)}"
                 )
@@ -225,17 +225,17 @@ def load_matrix_reference(path) -> SpatioTemporalMatrix:
                 try:
                     t = int(t_val)
                 except ValueError:
-                    raise FormatError(
+                    raise ConfigError(
                         f"{path}: line {lineno}: bad time index {t_val!r}"
                     ) from None
                 if t_first is None:
                     if t < 0:
-                        raise FormatError(
+                        raise ConfigError(
                             f"{path}: line {lineno}: time index {t} is negative"
                         )
                     t_first = t
                 elif t != t_prev + 1:
-                    raise FormatError(
+                    raise ConfigError(
                         f"{path}: line {lineno}: time index {t} does not "
                         f"follow {t_prev}"
                     )
@@ -243,11 +243,11 @@ def load_matrix_reference(path) -> SpatioTemporalMatrix:
             try:
                 rows.append([float(x) for x in row])
             except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
-        raise FormatError(f"{path}: no samples")
+        raise ConfigError(f"{path}: no samples")
     if len(ids) < 2:
-        raise DimensionError(
+        raise PreconditionError(
             f"{path}: need at least 2 channels, got {len(ids)}"
         )
     values = np.asarray(rows, dtype=float).T  # columns index time

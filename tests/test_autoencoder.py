@@ -17,7 +17,7 @@ from kronlift.autoencoder import (
     train,
 )
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
-from kronlift.errors import ConfigError, DimensionError, DivergenceError
+from kronlift.errors import ConfigError, NumericalError, PreconditionError
 from oracles import (
     forward,
     rmse_indicator,
@@ -114,7 +114,8 @@ class TestSigmoidAndForward:
 
     def test_dimension_mismatch(self):
         m = init_model(8, seed=3)
-        with pytest.raises(DimensionError):
+        with pytest.raises(PreconditionError,
+                           match="input length 9 != model dimension 8"):
             forward(m, np.ones(9))
 
     def test_activation_cache_layers(self):
@@ -258,7 +259,8 @@ class TestTrain:
             biases=m.biases,
             seed=0,
         )
-        with pytest.raises(DivergenceError):
+        with pytest.raises(NumericalError,
+                           match="non-finite loss at iteration 0"):
             train(poisoned, np.full((4, 3), 0.5), TrainConfig(max_iterations=5))
 
     def test_iterations_to_tolerance(self):

@@ -18,7 +18,12 @@ import pytest
 import kronlift
 from kronlift.cli import main
 from kronlift.data_model import SpatioTemporalMatrix, load_matrix, save_matrix
-from kronlift.errors import DivergenceError
+from kronlift.errors import (
+    ConfigError,
+    KronliftError,
+    NumericalError,
+    PreconditionError,
+)
 
 
 def sha256(path):
@@ -356,7 +361,7 @@ class TestDetectSae:
         data, cfg = small_data
 
         def boom(*a, **kw):
-            raise DivergenceError("loss became non-finite at iteration 7")
+            raise NumericalError("loss became non-finite at iteration 7")
 
         monkeypatch.setattr("kronlift.cli.run_sae_detailed", boom)
         rc = main(["detect-sae", data, "--config", cfg,
@@ -439,12 +444,18 @@ class TestExitCodeMatrix:
                      "--window", "9999"]) == 3
 
         def boom(*a, **kw):
-            raise DivergenceError("non-finite loss")
+            raise NumericalError("non-finite loss")
 
         monkeypatch.setattr("kronlift.cli.run_sae_detailed", boom)
         assert main(["detect-sae", data, "--config", cfg,
                      "--out", str(tmp_path / "o4")]) == 4
         capsys.readouterr()
+
+    def test_one_error_class_per_code(self):
+        families = KronliftError.__subclasses__()
+        assert families == [ConfigError, PreconditionError, NumericalError]
+        assert [cls.exit_code for cls in families] == [2, 3, 4]
+        assert all(cls.__subclasses__() == [] for cls in families)
 
 
 def with_section(name, **entries):

@@ -20,7 +20,7 @@ from kronlift.data_model import (
     save_matrix,
 )
 from kronlift.autoencoder import TrainConfig
-from kronlift.errors import ConfigError, DimensionError, FormatError
+from kronlift.errors import ConfigError, PreconditionError
 from kronlift.rmt_detector import RmtDetectorConfig
 from kronlift.synth import ScenarioConfig
 from oracles import load_matrix_reference, save_matrix_reference
@@ -123,7 +123,8 @@ class TestResidualMatrix:
 
     def test_rejects_single_sample(self):
         m = make_stm([[1.0]])
-        with pytest.raises(DimensionError):
+        with pytest.raises(PreconditionError,
+                           match="residual_matrix needs at least 2 samples"):
             residual_matrix(m)
 
     def test_constant_matrix_gives_zero_matrix(self):
@@ -162,26 +163,26 @@ class TestCsvRoundTrip:
                                               message):
         p = tmp_path / "d.csv"
         p.write_text("t,c1,c2\n" + "".join(f"{t},1,2\n" for t in times))
-        with pytest.raises(FormatError) as info:
+        with pytest.raises(ConfigError) as info:
             load_matrix(p)
         assert str(info.value) == f"{p}: line {line}: {message}"
 
     def test_empty_data_section(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("c1,c2\n")
-        with pytest.raises(FormatError, match="no samples"):
+        with pytest.raises(ConfigError, match="no samples"):
             load_matrix(p)
 
     def test_ragged_row_reports_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("c1,c2\n1,2\n1,2,3\n")
-        with pytest.raises(FormatError, match="line 3"):
+        with pytest.raises(ConfigError, match="line 3"):
             load_matrix(p)
 
     def test_non_numeric_cell_reports_position(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("c1,c2\n1,x\n")
-        with pytest.raises(FormatError) as info:
+        with pytest.raises(ConfigError) as info:
             load_matrix(p)
         assert str(info.value) == (
             f"{p}: line 2: could not convert string to float: 'x'")
@@ -199,7 +200,7 @@ class TestCsvRoundTrip:
     def test_ragged_layouts_report_line(self, tmp_path, text, message):
         p = tmp_path / "d.csv"
         p.write_text(text, newline="")
-        with pytest.raises(FormatError) as info:
+        with pytest.raises(ConfigError) as info:
             load_matrix(p)
         assert str(info.value) == f"{p}: {message}"
 
@@ -231,7 +232,7 @@ class TestCsvRoundTrip:
         p = tmp_path / "d.csv"
         p.write_text(text, encoding="utf-8")
         load_matrix_reference(p)  # the per-cell reader took these
-        with pytest.raises(FormatError) as info:
+        with pytest.raises(ConfigError) as info:
             load_matrix(p)
         assert str(info.value).startswith(f"{p}: ")
         assert cell in str(info.value)
@@ -239,7 +240,7 @@ class TestCsvRoundTrip:
     def test_non_utf8_file_names_it(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_bytes(b"t,c1,c2\n1,\xff,2\n")
-        with pytest.raises(FormatError) as info:
+        with pytest.raises(ConfigError) as info:
             load_matrix(p)
         assert str(info.value) == f"{p}: not UTF-8 text (invalid start byte)"
 
@@ -248,7 +249,7 @@ class TestCsvRoundTrip:
         p.write_text("t,c1,c2\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FormatError, match="no samples"):
+            with pytest.raises(ConfigError, match="no samples"):
                 load_matrix(p)
 
     def test_values_are_channel_major(self, tmp_path):
@@ -261,7 +262,8 @@ class TestCsvRoundTrip:
     def test_single_channel_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("c1\n1\n2\n")
-        with pytest.raises(DimensionError):
+        with pytest.raises(PreconditionError,
+                           match="need at least 2 channels, got 1"):
             load_matrix(p)
 
     def test_save_load_bit_identical(self, tmp_path):

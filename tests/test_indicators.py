@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from kronlift.data_model import IndicatorSeries
-from kronlift.errors import (
-    ConfigError,
-    DimensionError,
-    DomainError,
-    NormalizationError,
-)
+from kronlift.errors import ConfigError, PreconditionError
 from kronlift.indicators import (
     TestFunction,
     chebyshev,
@@ -89,7 +84,8 @@ class TestLes:
         assert val == pytest.approx(expected, abs=1e-9)
 
     def test_genuinely_negative_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError,
+                           match="outside the entropy test function's domain"):
             les(np.array([1.0, -0.5]), entropy())
 
     def test_chebyshev_skips_flooring(self):
@@ -108,7 +104,7 @@ class TestMsr:
         assert msr(np.array([3.0 + 4.0j, 0.0])) == pytest.approx(2.5)
 
     def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(PreconditionError, match="empty spectrum"):
             msr(np.array([]))
 
     def test_unitary_spectrum(self):
@@ -123,7 +119,6 @@ class TestNormalizeCurve:
     def test_basic(self):
         out = normalize_curve(self.series([2.0, 4.0, 8.0]))
         np.testing.assert_allclose(out.values, [0.25, 0.5, 1.0])
-        assert out.normalization["max"] == 8.0
 
     def test_single_point(self):
         out = normalize_curve(self.series([5.0]))
@@ -150,7 +145,8 @@ class TestNormalizeCurve:
         assert out.values.max() == 1.0
 
     def test_all_nonpositive_rejected(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(PreconditionError,
+                           match="no strictly positive value to normalize by"):
             normalize_curve(self.series([-1.0, 0.0, -3.0]))
 
     def test_metadata_keeps_start_and_kind(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
-from kronlift.errors import DimensionError, NormalizationError
+from kronlift.errors import PreconditionError
 from kronlift.lift import lift_matrix
 from oracles import kronecker, lift_column, normalize_segment
 
@@ -30,7 +30,8 @@ class TestKronecker:
         assert out.shape == (15,)
 
     def test_rejects_empty(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(PreconditionError,
+                           match="kronecker factors must be non-empty"):
             kronecker(np.array([]), np.ones(2))
 
     @settings(max_examples=50, deadline=None)
@@ -58,7 +59,8 @@ class TestNormalizeSegment:
         np.testing.assert_array_equal(out, [0.0, 1.0])
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(PreconditionError,
+                           match="cannot normalize zero segment"):
             normalize_segment(np.zeros(3))
 
 
@@ -80,12 +82,13 @@ class TestLiftColumn:
 
     def test_length_mismatch(self):
         cfg = LiftConfig(k=2, n=14)
-        with pytest.raises(DimensionError):
+        with pytest.raises(PreconditionError,
+                           match=r"column length 27 does not match k\*n = 28"):
             lift_column(np.ones(27), cfg)
 
     def test_zero_segment_propagates(self):
         cfg = LiftConfig(k=2, n=2)
-        with pytest.raises(NormalizationError, match="segment 2"):
+        with pytest.raises(PreconditionError, match="segment 2"):
             lift_column(np.array([1.0, 1.0, 0.0, 0.0]), cfg)
 
     @settings(max_examples=30, deadline=None)
@@ -150,7 +153,7 @@ class TestLiftMatrix:
         vals = np.ones((4, 3))
         vals[2:, 1] = 0.0  # kills segment 2 of the column at t=6
         D = self.stm(vals, t0=5)
-        with pytest.raises(NormalizationError, match="t=6"):
+        with pytest.raises(PreconditionError, match="t=6"):
             lift_matrix(D, LiftConfig(k=2, n=2))
 
     def test_t0_preserved(self):
@@ -165,5 +168,6 @@ class TestLiftMatrix:
 
     def test_channel_count_mismatch(self):
         D = self.stm(np.ones((6, 4)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(PreconditionError,
+                           match=r"6 channels do not match k\*n = 28"):
             lift_matrix(D, LiftConfig(k=2, n=14))

@@ -9,12 +9,7 @@ import pytest
 
 from kronlift import rmt_detector, spectral
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix, WindowSpec
-from kronlift.errors import (
-    ConfigError,
-    NumericalError,
-    StandardizationError,
-    WindowError,
-)
+from kronlift.errors import ConfigError, NumericalError, PreconditionError
 from kronlift.indicators import msr
 from kronlift.lift import lift_matrix
 from kronlift.rmt_detector import (
@@ -74,19 +69,22 @@ class TestWindowAt:
 
     def test_insufficient_history(self):
         L = self.lifted()
-        with pytest.raises(WindowError):
+        with pytest.raises(PreconditionError,
+                           match=r"window ending at t=11 needs t in \[12, 30\]"):
             window_at(L, 11, 12)
 
     def test_beyond_last_sample(self):
         L = self.lifted()
-        with pytest.raises(WindowError):
+        with pytest.raises(PreconditionError,
+                           match=r"window ending at t=31 needs t in \[12, 30\]"):
             window_at(L, 31, 12)
 
     def test_respects_t0(self):
         L = self.lifted(t0=100)
         W = window_at(L, 111, 12)
         np.testing.assert_array_equal(W, L.values[:, :12])
-        with pytest.raises(WindowError):
+        with pytest.raises(PreconditionError,
+                           match=r"window ending at t=110 needs t in \[111, 129\]"):
             window_at(L, 110, 12)
 
 
@@ -121,13 +119,10 @@ class TestRunRmtStructure:
         for curve in (rep.les_curve, rep.msr_curve):
             assert curve.values.max() == pytest.approx(1.0)
             assert np.all(curve.values > 0.0)
-            assert "max" in curve.normalization
 
     def test_raw_curves_reported(self):
         D = white_stm(6, 60, seed=4)
         rep = run_rmt(D, small_config())
-        norm = rep.les_raw.normalization
-        assert norm == {}
         np.testing.assert_allclose(
             np.abs(rep.les_raw.values) / np.max(np.abs(rep.les_raw.values)),
             rep.les_curve.values,
@@ -166,12 +161,14 @@ class TestRunRmtStructure:
 
     def test_insufficient_samples(self):
         D = white_stm(6, 12, seed=7)
-        with pytest.raises(WindowError):
+        with pytest.raises(PreconditionError,
+                           match="11 usable samples < window width 12"):
             run_rmt(D, small_config())  # residual leaves 11 < width 12
 
     def test_empty_eval_range(self):
         D = white_stm(6, 60, seed=7)
-        with pytest.raises(WindowError):
+        with pytest.raises(PreconditionError,
+                           match=r"evaluation range \[100, None\] is empty"):
             run_rmt(D, small_config(eval_from=100))
 
     def test_baseline_span_must_fit(self):
@@ -225,7 +222,8 @@ class TestSnapshots:
 
     def test_snapshot_outside_range_rejected(self):
         D = white_stm(6, 60, seed=11)
-        with pytest.raises(WindowError):
+        with pytest.raises(PreconditionError,
+                           match=r"window ending at t=5 needs t in \[13, 60\]"):
             run_rmt(D, small_config(), snapshot_at=(5,))
 
     def test_snapshot_checked_before_any_window(self, monkeypatch):
@@ -235,7 +233,8 @@ class TestSnapshots:
         monkeypatch.setattr(rmt_detector, "window_spectra", kernel)
         D = white_stm(6, 60, seed=11)
         with pytest.raises(
-            WindowError, match=r"^window ending at t=5 needs t in \[13, 60\]$"
+            PreconditionError,
+            match=r"^window ending at t=5 needs t in \[13, 60\]$",
         ):
             run_rmt(D, small_config(), snapshot_at=(20, 5))
 
@@ -457,11 +456,11 @@ class TestParallelWindows:
         errors = []
         for n in (1, 2, 3):
             _workers(monkeypatch, n)
-            with pytest.raises(StandardizationError) as info:
+            with pytest.raises(PreconditionError) as info:
                 run_rmt(D, cfg)
             errors.append((type(info.value), str(info.value)))
             _no_children_left()
-        assert errors[0] == (StandardizationError,
+        assert errors[0] == (PreconditionError,
                              f"window ending at t={freeze_from + 19}: "
                              "row 0 has zero variance")
         assert errors[1:] == errors[:1] * 2
@@ -479,7 +478,8 @@ class TestParallelWindows:
         cfg = small_config(lift=LiftConfig(k=2, n=4),
                            window=WindowSpec(width=20), use_residual=False,
                            deviation_rule=DeviationRule(enabled=False))
-        with pytest.raises(StandardizationError):
+        with pytest.raises(PreconditionError,
+                           match="window ending at t=40: row 0 has zero variance"):
             run_rmt(frozen_stm(21), cfg)  # fails in the parent's chunk
         assert len(killed) == 2
         _no_children_left()

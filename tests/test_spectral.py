@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
-from kronlift.errors import (
-    DimensionError,
-    NumericalError,
-    ParameterError,
-    PreconditionError,
-    StandardizationError,
-)
+from kronlift.errors import ConfigError, NumericalError, PreconditionError
 from kronlift.lift import lift_matrix
 from kronlift.rmt_detector import window_at
 from kronlift.spectral import (
@@ -85,7 +79,8 @@ class TestTensorCovariance:
         np.testing.assert_array_equal(M, M.T)
 
     def test_weight_count_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(PreconditionError,
+                           match="5 weights for 4 window columns"):
             tensor_covariance(np.ones((3, 4)), np.ones(5))
 
     def test_strided_window_exactly_symmetric(self):
@@ -133,7 +128,8 @@ class TestCovarianceEigenvalues:
         assert eigs.sum() == pytest.approx(np.trace(M), rel=1e-8)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(PreconditionError, match=r"^matrix is not symmetric "
+        with pytest.raises(PreconditionError,
+                           match=r"^matrix is not symmetric "
                            r"\(relative asymmetry 1\.00e\+00\)$"):
             covariance_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -237,7 +233,8 @@ class TestMpLaw:
         assert np.all(got < 1.0)
 
     def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError,
+                           match=r"mp_law ratio c must be positive, got 0\.0"):
             mp_law(0.0)
 
 
@@ -254,9 +251,11 @@ class TestRingReference:
         assert ring_reference(0.75) == pytest.approx(0.5)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError,
+                           match=r"ring reference needs 0 < c <= 1, got 1\.2"):
             ring_reference(1.2)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError,
+                           match=r"ring reference needs 0 < c <= 1, got 0\.0"):
             ring_reference(0.0)
 
 
@@ -277,7 +276,7 @@ class TestRowStandardize:
         X = np.ones((3, 5))
         X[1] = np.arange(5)
         X[2] = np.arange(5)
-        with pytest.raises(StandardizationError, match="row 0"):
+        with pytest.raises(PreconditionError, match="row 0"):
             row_standardize(X)
 
     def test_row_constant_up_to_rounding_is_dead(self):
@@ -291,7 +290,7 @@ class TestRowStandardize:
         W = window_at(lifted, 40, 12)
         assert np.all(W == W[:, :1])
         assert np.all(W.std(axis=1) > 0.0)
-        with pytest.raises(StandardizationError, match="row 0"):
+        with pytest.raises(PreconditionError, match="row 0"):
             row_standardize(W)
 
 
@@ -405,7 +404,7 @@ class TestEsdKsDistance:
         assert esd_ks_distance(eigs, law) <= 0.5 / m + 1e-9
 
     def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(PreconditionError, match="empty spectrum"):
             esd_ks_distance(np.array([]), mp_law(1.0))
 
 
@@ -458,6 +457,14 @@ class TestSummarizeWindow:
         W = rng.standard_normal((96, 120))
         s = summarize_window(W, seed=2)
         assert s.ring_coverage >= 0.85
+
+    def test_narrow_window_coverage_on_unit_scale(self):
+        # the 28 x 28 ring has outer radius sqrt(28/200) before rescaling
+        rng = np.random.default_rng(17)
+        W = rng.standard_normal((28, 200))
+        s = summarize_window(W, seed=3)
+        assert s.ring_coverage >= 0.8
+        assert np.max(np.abs(s.ring_eigs)) < 0.5
 
     def test_determinism(self):
         rng = np.random.default_rng(16)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kronlift.errors import ConfigError, ParameterError
+from kronlift.errors import ConfigError
 from kronlift.synth import (
     AnomalySpec,
     NoiseConfig,
@@ -77,13 +77,16 @@ class TestScenarioConfig:
             cfg.baseline_vector()
 
     def test_ar_coefficient_bounds(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError,
+                           match=r"AR coefficient must satisfy \|b\| < 1, got 1\.0"):
             NoiseConfig(b=1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError,
+                           match=r"AR coefficient must satisfy \|b\| < 1, got -1\.2"):
             NoiseConfig(b=-1.2)
 
     def test_snr_positive(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError,
+                           match=r"snr must be positive, got 0\.0"):
             NoiseConfig(snr=0.0)
 
 
@@ -147,7 +150,7 @@ class TestSnrScale:
         assert m == 0.0
 
     def test_zero_variance_noise_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError, match="noise field has zero variance"):
             snr_scale(np.random.default_rng(3).standard_normal((4, 40)),
                       np.ones((4, 40)), 1000.0)
 

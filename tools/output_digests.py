@@ -28,9 +28,16 @@ Then it runs a fixed set of commands that must fail, on inputs it writes
 under WORKDIR/errors (which the listing skips): a CSV with a bad float
 on line 3, `esd-check` with detector `"scale_mode": "bogus"` and with
 `"baseline_span": 1`, `detect-rmt --k 1 --window 20` on a 4-channel
-record whose third channel is flat from t=31, and a directory as the
-data path.  For each it prints `fail/<label> exit=<code> <first stderr
-line>`, with WORKDIR written as `WORKDIR`.
+record whose third channel is flat from t=31, a directory as the data
+path, `esd-check --window 2000 --snapshot-at 500` on case_a_step (a
+window wider than the record, exit 3), `detect-sae --k 2` with learning
+rate 1.7e308 on a 4-channel record of 60 samples (a non-finite loss,
+exit 4), and `detect-rmt --k 2 --no-residual --window 20` on the same
+record with its first two channels 0 at t=41 (a zero segment, exit 3).
+For each it prints `fail/<label> exit=<code> <line>`, where the line is
+the CLI's `kronlift <command>:` line on stderr (numpy's warnings may
+come before it), or else the first stderr line, with WORKDIR written as
+`WORKDIR`.
 
 Run it on two checkouts at the same BLAS thread count and diff the two
 listings to see whether a change kept every output byte, exit code and
@@ -112,6 +119,21 @@ def failing_commands(errors: Path, data: str):
     yield "flat_span", ["detect-rmt", str(flat), "--k", "1", "--window", "20",
                         "--config", str(cfg)]
     yield "directory", ["esd-check", str(errors)]
+    yield "wide_window", ["esd-check", data, "--window", "2000",
+                          "--snapshot-at", "500"]
+    values = np.random.default_rng(0).normal(size=(4, 60))
+    save_matrix(SpatioTemporalMatrix(values, list("abcd")), errors / "diverge.csv")
+    values[:2, 40] = 0.0
+    save_matrix(SpatioTemporalMatrix(values, list("abcd")),
+                errors / "zero_segment.csv")
+    cfg = errors / "diverge.json"
+    cfg.write_text(json.dumps({"sae": {
+        "learning_rate": 1.7e308, "max_iterations": 20, "train_span": [1, 30]}}),
+        encoding="utf-8")
+    yield "diverge", ["detect-sae", str(errors / "diverge.csv"), "--k", "2",
+                      "--config", str(cfg)]
+    yield "zero_segment", ["detect-rmt", str(errors / "zero_segment.csv"),
+                           "--k", "2", "--no-residual", "--window", "20"]
 
 
 def main_digests(work: Path) -> int:
@@ -136,7 +158,10 @@ def main_digests(work: Path) -> int:
         try:
             with contextlib.redirect_stderr(stderr):
                 code = main([*argv, "--out", str(errors / label)])
-            line = stderr.getvalue().partition("\n")[0]
+            lines = stderr.getvalue().splitlines()
+            # numpy's RuntimeWarnings may come first; print the CLI's own line
+            line = next((s for s in lines if s.startswith("kronlift ")),
+                        lines[0] if lines else "")
         except Exception as exc:  # the console script's traceback, exit 1
             code, line = 1, f"uncaught {type(exc).__name__}: {exc}"
         print(f"fail/{label} exit={code}",
