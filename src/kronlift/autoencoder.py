@@ -262,12 +262,14 @@ def train(model: AutoencoderModel, data: np.ndarray, cfg: TrainConfig):
     ws = _Workspace([*model.weights, *model.biases], X.shape[0])
     adam = AdamState(ws.shapes, cfg.learning_rate)
     losses = np.empty(cfg.max_iterations)
-    for it in range(cfg.max_iterations):
-        loss = ws.loss_grad(X)
-        if not np.isfinite(loss):
-            raise NumericalError(f"non-finite loss at iteration {it}")
-        losses[it] = loss
-        adam.update(ws.theta, ws.grad)
+    # a diverging run raises the NumericalError below, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(cfg.max_iterations):
+            loss = ws.loss_grad(X)
+            if not np.isfinite(loss):
+                raise NumericalError(f"non-finite loss at iteration {it}")
+            losses[it] = loss
+            adam.update(ws.theta, ws.grad)
     if not np.all(np.isfinite(ws.theta)):
         raise NumericalError(
             f"non-finite parameters after iteration {cfg.max_iterations}"

@@ -10,21 +10,23 @@ evaluates all but the first chunk in forked children.  Every chunk
 writes its LES/MSR values into its own columns of one result buffer, an
 anonymous shared mapping, so children return nothing but an exit
 status.  Workers are the CPUs the process may run on divided by the BLAS
-thread count, so a BLAS left to take every CPU gets one chunk, evaluated
-in this process by the same loop.  Each window runs the same code in
-whichever process evaluates it, so the curves do not depend on the
-worker count.
+thread count (spectral._worker_count), so a BLAS left to take every CPU
+gets one chunk, evaluated in this process by the same loop.  The fork
+protocol is spectral._run_forked, which the snapshots' summarize_window
+also uses to solve a wide window's covariance and ring at once; window
+workers call window_spectra and never fork again.  Each window runs the
+same code in whichever process evaluates it, so the curves and the
+snapshots do not depend on the worker count.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
-import signal
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from . import spectral
 from .data_model import (
     IndicatorSeries,
     LiftConfig,
@@ -39,9 +41,6 @@ from .lift import SCALE_MODES, LiftedMatrix, lift_matrix
 from .spectral import SpectralSummary, summarize_window, window_spectra
 
 MAD_TO_SIGMA = 1.4826  # consistency factor for Gaussian data
-# where OpenBLAS reads its thread count, in its order (MKL also honours
-# OMP_NUM_THREADS); an unknown count means the BLAS takes every CPU
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -171,66 +170,22 @@ def _evaluate(
             raise type(exc)(f"window ending at t={t}: {exc}") from exc
 
 
-def _worker_count() -> int:
-    """Processes to spread windows over: CPUs per BLAS thread count.
-
-    The BLAS reads its thread count from the environment when numpy
-    loads and starts one thread per CPU when none is set.  Its idle
-    threads spin, so a second process would oversubscribe the CPUs: with
-    2 processes of 2 OpenBLAS threads on 2 CPUs a k=2 run took 3.6x as
-    long as the serial loop.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
-
-
 def _evaluate_parallel(
     lifted: LiftedMatrix, times: np.ndarray, cfg: RmtDetectorConfig
 ) -> np.ndarray:
     """_evaluate over contiguous chunks, one per worker, the first here.
 
-    Each chunk fills its own columns of one shared anonymous mapping.  A
-    forked child runs only numpy and this module, takes no lock another
-    thread could hold, and leaves by os._exit, so fork is safe here;
-    OpenBLAS stops its own thread pool before each fork.  A chunk whose
-    child did not exit 0 or never started is evaluated again here, in
-    chunk order, so an error surfaces exactly as the serial loop raises it.
+    Each chunk fills its own columns of one shared result buffer, and a
+    chunk whose child failed is evaluated again here, in chunk order
+    (spectral._run_forked), so an error surfaces as the serial loop
+    raises it.
     """
-    workers = min(_worker_count(), times.size) if hasattr(os, "fork") else 1
-    out = np.frombuffer(mmap.mmap(-1, 16 * times.size)).reshape(2, -1)
+    workers = min(spectral._worker_count(), times.size)
+    out = spectral._shared_array(2 * times.size, float).reshape(2, -1)
     chunks = np.array_split(times, workers)
     dests = np.array_split(out, workers, axis=1)  # views into out
-    pids: dict[int, int] = {}  # chunk index -> child pid
-    try:
-        for j in range(1, workers):
-            try:
-                pids[j] = os.fork()
-            except OSError:
-                continue
-            if pids[j] == 0:
-                code = 1
-                try:
-                    _evaluate(lifted, chunks[j], cfg, dests[j])
-                    code = 0
-                finally:
-                    os._exit(code)  # skip the parent's exit handlers and buffers
-        _evaluate(lifted, chunks[0], cfg, dests[0])
-    except BaseException:
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = {j: os.waitpid(pid, 0)[1] for j, pid in pids.items()}
-    for j in range(1, workers):
-        if status.get(j, 1) != 0:  # failed, or never forked
-            _evaluate(lifted, chunks[j], cfg, dests[j])
+    spectral._run_forked([partial(_evaluate, lifted, chunk, cfg, dest)
+                          for chunk, dest in zip(chunks, dests)])
     return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,16 @@ class TestTrain:
         with pytest.raises(NumericalError,
                            match="non-finite loss at iteration 0"):
             train(poisoned, np.full((4, 3), 0.5), TrainConfig(max_iterations=5))
+
+    def test_divergence_raises_without_warnings(self):
+        rng = np.random.default_rng(9)
+        X = rng.uniform(0.2, 0.8, size=(16, 30))
+        cfg = TrainConfig(learning_rate=1.7e308, max_iterations=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match="^non-finite loss at iteration 2$"):
+                train(init_model(16, seed=0), X, cfg)
 
     def test_iterations_to_tolerance(self):
         rng = np.random.default_rng(8)

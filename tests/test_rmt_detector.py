@@ -311,7 +311,7 @@ class TestDetection:
 
 
 def _workers(monkeypatch, n):
-    monkeypatch.setattr(rmt_detector, "_worker_count", lambda: n)
+    monkeypatch.setattr(spectral, "_worker_count", lambda: n)
 
 
 def _raw(rep):
@@ -351,11 +351,11 @@ class TestParallelWindows:
                                                      env, workers):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
-        for var in rmt_detector.BLAS_THREAD_VARS:
+        for var in spectral.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert rmt_detector._worker_count() == workers
+        assert spectral._worker_count() == workers
 
     @pytest.fixture(scope="class")
     def case_a(self):

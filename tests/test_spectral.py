@@ -1,13 +1,21 @@
+import os
+import signal
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
+from kronlift import spectral
+from kronlift.data_model import LiftConfig, SpatioTemporalMatrix, WindowSpec
 from kronlift.errors import ConfigError, NumericalError, PreconditionError
 from kronlift.lift import lift_matrix
-from kronlift.rmt_detector import window_at
+from kronlift.rmt_detector import (
+    DeviationRule,
+    RmtDetectorConfig,
+    run_rmt,
+    window_at,
+)
 from kronlift.spectral import (
     covariance_eigenvalues,
     esd_ks_distance,
@@ -473,3 +481,135 @@ class TestSummarizeWindow:
         b = summarize_window(W, seed=9)
         np.testing.assert_array_equal(a.ring_eigs, b.ring_eigs)
         np.testing.assert_array_equal(a.covariance_eigs, b.covariance_eigs)
+
+
+def _summary_bytes(s):
+    return (s.covariance_eigs.tobytes(), s.ring_eigs.tobytes(), s.c_ratio,
+            s.mp_support, s.ring_inner, s.ks_distance_mp, s.ring_coverage)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestConcurrentHalves:
+    """A window with more rows than columns solves its covariance here and
+    its ring in a forked child when two workers are free, with the serial
+    bytes and the serial errors."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        real_fork = os.fork
+
+        def fork():
+            calls.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    @staticmethod
+    def workers(monkeypatch, n):
+        monkeypatch.setattr(spectral, "_worker_count", lambda: n)
+
+    @staticmethod
+    def tall(seed=31):
+        return np.random.default_rng(seed).standard_normal((196, 100))
+
+    def outcome(self, monkeypatch, n, W):
+        self.workers(monkeypatch, n)
+        try:
+            return _summary_bytes(summarize_window(W, seed=(5, 500)))
+        except Exception as exc:
+            return type(exc), str(exc)
+        finally:
+            _no_children_left()
+
+    def test_tall_window_bytes_do_not_depend_on_workers(self, monkeypatch,
+                                                        forks):
+        W = self.tall()
+        serial = self.outcome(monkeypatch, 1, W)
+        assert forks == []
+        assert self.outcome(monkeypatch, 2, W) == serial
+        assert forks == [os.getpid()]
+
+    def test_snapshots_do_not_depend_on_workers(self, monkeypatch):
+        # 8 channels at k=2, n=4 lift to 16 dims against 12 columns
+        rng = np.random.default_rng(32)
+        D = SpatioTemporalMatrix(values=1.0 + 1e-3 * rng.standard_normal((8, 60)),
+                                 channel_ids=[f"c{i}" for i in range(8)], t0=1)
+        cfg = RmtDetectorConfig(lift=LiftConfig(k=2, n=4),
+                                window=WindowSpec(width=12),
+                                deviation_rule=DeviationRule(enabled=False))
+        reports = []
+        for n in (1, 2):
+            self.workers(monkeypatch, n)
+            rep = run_rmt(D, cfg, snapshot_at=(40, 41))
+            reports.append({t: _summary_bytes(s)
+                            for t, s in rep.spectral_snapshots.items()})
+            _no_children_left()
+        assert reports[0][40][0] != reports[0][41][0]
+        assert reports[1] == reports[0]
+
+    def test_covariance_failure_raises_serial_error(self, monkeypatch, forks):
+        def covariance(W):
+            raise NumericalError("injected covariance failure")
+
+        killed = []
+        real_kill = os.kill
+
+        def kill(pid, sig):
+            killed.append(sig)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(spectral, "tensor_covariance", covariance)
+        monkeypatch.setattr(os, "kill", kill)
+        W = self.tall()
+        serial = self.outcome(monkeypatch, 1, W)
+        assert serial == (NumericalError, "injected covariance failure")
+        assert self.outcome(monkeypatch, 2, W) == serial
+        assert len(forks) == 1 and killed == [signal.SIGKILL]
+
+    def test_ring_failure_in_child_is_rerun_here(self, monkeypatch, forks):
+        # a constant column is a dead row of the transposed ring window
+        W = self.tall()
+        W[:, 7] = 0.25
+        serial = self.outcome(monkeypatch, 1, W)
+        assert serial == (PreconditionError, "row 7 has zero variance")
+        assert self.outcome(monkeypatch, 2, W) == serial
+        assert len(forks) == 1
+
+    def test_killed_child_ring_is_solved_again(self, monkeypatch, forks):
+        real_ring = spectral._ring_spectrum
+        parent = os.getpid()
+
+        def ring(W, seed):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_ring(W, seed)
+
+        W = self.tall()
+        serial = self.outcome(monkeypatch, 1, W)
+        monkeypatch.setattr(spectral, "_ring_spectrum", ring)
+        assert self.outcome(monkeypatch, 2, W) == serial
+        assert len(forks) == 1
+
+    def test_fork_failure_gives_serial_result(self, monkeypatch):
+        def no_fork():
+            raise OSError("fork refused")
+
+        W = self.tall()
+        serial = self.outcome(monkeypatch, 1, W)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.outcome(monkeypatch, 2, W) == serial
+
+    @pytest.mark.parametrize("shape,n", [
+        ((100, 196), 2), ((196, 196), 2), ((196, 100), 1),
+    ])
+    def test_no_fork_unless_tall_with_two_workers(self, monkeypatch, forks,
+                                                  shape, n):
+        W = np.random.default_rng(33).standard_normal(shape)
+        self.outcome(monkeypatch, n, W)
+        assert forks == []

@@ -1,6 +1,6 @@
 """Digest every output of a fixed set of kronlift commands.
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/output_digests.py WORKDIR
+    python3 tools/output_digests.py WORKDIR
 
 Runs `kronlift.cli.main` in-process, from the `src/` of the checkout this
 file sits in, on both packaged scenarios: `synth`; `detect-rmt --k 1
@@ -39,20 +39,33 @@ the CLI's `kronlift <command>:` line on stderr (numpy's warnings may
 come before it), or else the first stderr line, with WORKDIR written as
 `WORKDIR`.
 
-Run it on two checkouts at the same BLAS thread count and diff the two
-listings to see whether a change kept every output byte, exit code and
-error message.  Exits 1 if a digested command does not exit 0; the
-failing commands do not change the exit status.
+It sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS to
+1 before numpy loads, as the benchmark does, because MSR values move by
+about 1e-10 from one BLAS thread count to another.  With the BLAS at one
+thread on a host with 2 or more CPUs, the commands spread their work
+over forked processes: the `detect-rmt` windows, and the two halves of
+the 196 x 100 `esd-check --window 100` window.  A checkout whose copy of
+this tool does not set the variables needs `OPENBLAS_NUM_THREADS=1` in
+its environment.
+
+Run it on two checkouts and diff the two listings to see whether a
+change kept every output byte, exit code and error message.  Exits 1 if
+a digested command does not exit 0; the failing commands do not change
+the exit status.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+os.environ.update({v: "1" for v in (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")})
+
+import numpy as np  # noqa: E402  (loads after the thread count is set)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from kronlift.cli import load_config, main  # noqa: E402
