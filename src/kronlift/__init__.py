@@ -1,9 +1,10 @@
 """kronlift: Kronecker-product dimension lifting and random-matrix
 anomaly detection for multichannel sensor streams."""
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .autoencoder import TrainConfig, run_sae_detailed, score_sae
 from .data_model import (
     IndicatorSeries,
     LiftConfig,
@@ -19,15 +20,27 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .lift import lift_matrix
-from .rmt_detector import (
-    DetectionReport,
-    DeviationRule,
-    RmtDetectorConfig,
-    run_rmt,
-)
-from .spectral import mp_law, summarize_window
 from .synth import AnomalySpec, NoiseConfig, ScenarioConfig, generate
+
+# Generating and saving a scenario needs only the imports above; these
+# names import their submodule on first access (PEP 562).
+_LAZY = {
+    "autoencoder": ("TrainConfig", "run_sae_detailed", "score_sae"),
+    "lift": ("lift_matrix",),
+    "rmt_detector": ("DetectionReport", "DeviationRule", "RmtDetectorConfig",
+                     "run_rmt"),
+    "spectral": ("mp_law", "summarize_window"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            value = globals()[name] = getattr(
+                import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnomalySpec",

@@ -64,5 +64,5 @@ def lift_matrix(
         # batched kronecker across all columns at once
         out = (out[:, None, :] * unit[l][None, :, :]).reshape(-1, N)
     if scale_mode == "sqrt-dim":
-        out = out * np.sqrt(cfg.lifted_dim)
+        out *= np.sqrt(cfg.lifted_dim)
     return LiftedMatrix(values=out, t0=D.t0)

@@ -182,10 +182,13 @@ def row_standardize(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     mean = X.mean(axis=1, keepdims=True)
     std = X.std(axis=1, keepdims=True)
-    dead = np.flatnonzero(std.ravel() <= DEAD_ROW_RTOL * np.abs(X).max(axis=1))
+    peak = np.maximum(X.max(axis=1), -X.min(axis=1))  # no |X| copy
+    dead = np.flatnonzero(std.ravel() <= DEAD_ROW_RTOL * peak)
     if dead.size:
         raise PreconditionError(f"row {dead[0]} has zero variance")
-    return (X - mean) / std
+    out = X - mean
+    out /= std
+    return out
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -149,6 +149,15 @@ class TestLiftMatrix:
         norms = np.linalg.norm(lifted.values, axis=0)
         np.testing.assert_allclose(norms, 14.0, rtol=1e-9)
 
+    @pytest.mark.parametrize("k,n", [(1, 6), (2, 3), (3, 2)])
+    def test_sqrt_dim_is_unit_norm_times_sqrt_dim_bit_for_bit(self, k, n):
+        D = self.stm(np.random.default_rng(3).uniform(0.5, 1.5, size=(6, 9)))
+        cfg = LiftConfig(k=k, n=n)
+        unit = lift_matrix(D, cfg, "unit-norm").values
+        scaled = lift_matrix(D, cfg, "sqrt-dim").values
+        np.testing.assert_array_equal(scaled, unit * np.sqrt(cfg.lifted_dim),
+                                      strict=True)
+
     def test_failure_names_time_index(self):
         vals = np.ones((4, 3))
         vals[2:, 1] = 0.0  # kills segment 2 of the column at t=6

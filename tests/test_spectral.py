@@ -300,6 +300,28 @@ class TestRowStandardize:
         assert np.all(W.std(axis=1) > 0.0)
         with pytest.raises(PreconditionError, match="row 0"):
             row_standardize(W)
+        # the largest magnitude on the negative side: still flagged
+        with pytest.raises(PreconditionError, match="row 0"):
+            row_standardize(-W)
+
+    @staticmethod
+    def _reference(X):
+        return (X - X.mean(1, keepdims=True)) / X.std(1, keepdims=True)
+
+    @pytest.mark.parametrize("layout", ["random", "transposed", "negated frozen"])
+    def test_equals_textbook_form_bit_for_bit(self, layout):
+        if layout == "negated frozen":
+            vals = np.random.default_rng(159).standard_normal((6, 40))
+            vals[:, 17:] = vals[:, 17:18]
+            D = SpatioTemporalMatrix(values=vals, channel_ids=list("abcdef"))
+            lifted = lift_matrix(D, LiftConfig(k=2, n=3), scale_mode="sqrt-dim")
+            X = -window_at(lifted, 40, 25)
+        else:
+            X = np.random.default_rng(11).standard_normal((30, 50)) + 0.5
+            if layout == "transposed":
+                X = X.T
+        np.testing.assert_array_equal(row_standardize(X), self._reference(X),
+                                      strict=True)
 
 
 class TestHaarUnitary:
