@@ -18,11 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import IndicatorSeries, LiftConfig, SpatioTemporalMatrix, check_seed
+from .data_model import (
+    IndicatorSeries,
+    LiftConfig,
+    SpatioTemporalMatrix,
+    boolean,
+    check_seed,
+    list_of,
+)
 from .errors import ConfigError, NumericalError, PreconditionError
 from .lift import lift_matrix
 
 DEFAULT_HIDDEN = (48, 24, 48)
+SCORE_BLOCK = 256  # samples score_matrix scores at a time
 
 
 @dataclass(frozen=True)
@@ -147,12 +155,18 @@ class _Workspace:
         ]
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Run X (samples x coords) through the layers; returns the output."""
+        """Run X (samples x coords, at most rows samples) through the layers.
+
+        Returns the output, a view of the first X.shape[0] rows of the last
+        layer's buffer.
+        """
         L = self.layers
+        m = X.shape[0]
         a = X
         for W, b, z, den in zip(
             self.params[:L], self.params[L:], self.acts, self.dens
         ):
+            z, den = z[:m], den[:m]
             np.matmul(a, W, out=z)
             z += b
             a = _sigmoid(z, den)
@@ -303,7 +317,8 @@ class MinMaxScaler:
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         safe = np.where(self.flagged, 1.0, self.span)
-        out = (X - self.lo[:, None]) / safe[:, None]
+        out = X - self.lo[:, None]
+        out /= safe[:, None]
         out[self.flagged, :] = 0.5
         return out
 
@@ -318,11 +333,24 @@ def fit_scaler(train_columns: np.ndarray) -> MinMaxScaler:
 def score_matrix(
     model: AutoencoderModel, scaler: MinMaxScaler, columns: np.ndarray
 ) -> np.ndarray:
-    """Per-column reconstruction RMSE of scaled data columns."""
-    scaled = scaler.apply(columns).T  # samples x coords
-    Y = _Workspace([*model.weights, *model.biases], scaled.shape[0]).forward(scaled)
-    E = Y - scaled
-    return np.sqrt(np.mean(E * E, axis=1))
+    """Per-column reconstruction RMSE of scaled data columns.
+
+    The columns are scaled, run forward and reduced SCORE_BLOCK at a time
+    through one workspace, so scoring holds one block's arrays, not the
+    record's, whatever its length.
+    """
+    columns = np.asarray(columns, dtype=float)
+    m = columns.shape[1]
+    ws = _Workspace([*model.weights, *model.biases], min(m, SCORE_BLOCK))
+    rmse = np.empty(m)
+    for lo in range(0, m, SCORE_BLOCK):
+        hi = min(lo + SCORE_BLOCK, m)
+        scaled = scaler.apply(columns[:, lo:hi]).T  # samples x coords
+        E = ws.forward(scaled)
+        E -= scaled
+        E *= E
+        np.mean(E, axis=1, out=rmse[lo:hi])
+    return np.sqrt(rmse, out=rmse)
 
 
 def _span_columns(D: SpatioTemporalMatrix, lift_cfg: LiftConfig | None,
@@ -434,9 +462,10 @@ def load_checkpoint(path):
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"checkpoint {path} is not a JSON object")
-    if doc.get("schema_version") != CHECKPOINT_VERSION:
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or version != CHECKPOINT_VERSION:  # true == 1
         raise ConfigError(
-            f"checkpoint {path}: unsupported version {doc.get('schema_version')}"
+            f"malformed checkpoint {path}: unsupported schema_version {version!r}"
         )
     try:
         model = AutoencoderModel(
@@ -455,7 +484,7 @@ def load_checkpoint(path):
         scaler = MinMaxScaler(
             lo=np.asarray(sc["lo"], dtype=float),
             span=np.asarray(sc["span"], dtype=float),
-            flagged=np.asarray(sc["flagged"], dtype=bool),
+            flagged=np.asarray(list_of(boolean)(sc["flagged"]), dtype=bool),
         )
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} has no key {exc}") from exc

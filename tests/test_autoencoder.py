@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from kronlift.autoencoder import (
+    SCORE_BLOCK,
     AdamState,
     AutoencoderModel,
     TrainConfig,
@@ -15,6 +17,8 @@ from kronlift.autoencoder import (
     loss_and_gradients,
     run_sae_detailed,
     save_checkpoint,
+    score_matrix,
+    score_sae,
     train,
 )
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix
@@ -391,6 +395,33 @@ class TestScaler:
         np.testing.assert_array_equal(out[0], [0.5, 0.5, 0.5])
 
 
+class TestScoreMatrix:
+    def test_block_boundaries_match_per_sample_oracle(self):
+        rng = np.random.default_rng(12)
+        cols = rng.uniform(0.0, 2.0, (6, 2 * SCORE_BLOCK + 7))
+        train_cols = rng.uniform(0.0, 1.0, (6, 40))
+        train_cols[2] = 0.3  # a flagged coordinate, pinned to 0.5
+        sc = fit_scaler(train_cols)
+        model = init_model(6, seed=3)
+        scores = score_matrix(model, sc, cols)
+        scaled = (cols - sc.lo[:, None]) / np.where(sc.flagged, 1.0, sc.span)[:, None]
+        scaled[2] = 0.5
+        expected = [rmse_indicator(model, x) for x in scaled.T]
+        np.testing.assert_allclose(scores, expected, rtol=0.0, atol=1e-12)
+
+    def test_memory_is_one_block_not_the_record(self):
+        cols = np.random.default_rng(13).uniform(0.0, 1.0, (196, 20_000))
+        sc = fit_scaler(cols[:, :200])
+        model = init_model(196, seed=0)
+        tracemalloc.start()
+        try:
+            score_matrix(model, sc, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cols.nbytes
+
+
 class TestRunSae:
     def data(self, seed=0, N=60, step_at=None):
         rng = np.random.default_rng(seed)
@@ -463,14 +494,16 @@ class TestCheckpoint:
 
     def test_inference_reproduces_scores(self, tmp_path):
         rng = np.random.default_rng(11)
-        data = stm(1.0 + 0.01 * rng.standard_normal((6, 50)))
-        result = run_sae_detailed(
-            data, None, train_span=(1, 25), cfg=TrainConfig(max_iterations=30)
-        )
-        path = tmp_path / "model.json"
-        save_checkpoint(result.model, result.scaler, path)
-        model2, scaler2 = load_checkpoint(path)
-        from kronlift.autoencoder import score_matrix
-
-        scores = score_matrix(model2, scaler2, data.values[:, 25:])
-        np.testing.assert_array_equal(scores, result.series.values)
+        # 25 scored samples, then a scored span longer than one block
+        for samples in (50, 25 + SCORE_BLOCK + 30):
+            data = stm(1.0 + 0.01 * rng.standard_normal((6, samples)))
+            result = run_sae_detailed(
+                data, None, train_span=(1, 25), cfg=TrainConfig(max_iterations=30)
+            )
+            path = tmp_path / "model.json"
+            save_checkpoint(result.model, result.scaler, path)
+            model2, scaler2 = load_checkpoint(path)
+            scores = score_matrix(model2, scaler2, data.values[:, 25:])
+            np.testing.assert_array_equal(scores, result.series.values)
+            series = score_sae(data, None, model2, scaler2, (1, 25))
+            assert series.values.tobytes() == result.series.values.tobytes()

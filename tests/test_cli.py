@@ -311,6 +311,8 @@ class TestDetectSae:
         ("relu activation", "activation 'relu' is not supported"),
         ("nan weight", "non-finite weights"),
         ("infinite span", "non-finite scaler span"),
+        ("string flagged", "expected true or false"),
+        ("boolean version", "unsupported schema_version True"),
     ])
     def test_malformed_checkpoint_exits_2(self, small_data, tmp_path, capsys,
                                           doc, message):
@@ -325,6 +327,10 @@ class TestDetectSae:
                 trained["activation"] = "relu"
             elif doc == "nan weight":
                 trained["weights"][1][0][0] = float("nan")
+            elif doc == "string flagged":  # bool("no") is True
+                trained["scaler"]["flagged"] = ["no"] * 4
+            elif doc == "boolean version":  # true == 1
+                trained["schema_version"] = True
             else:
                 trained["scaler"]["span"][0] = float("inf")
             doc = trained

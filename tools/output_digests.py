@@ -32,8 +32,10 @@ record whose third channel is flat from t=31, a directory as the data
 path, `esd-check --window 2000 --snapshot-at 500` on case_a_step (a
 window wider than the record, exit 3), `detect-sae --k 2` with learning
 rate 1.7e308 on a 4-channel record of 60 samples (a non-finite loss,
-exit 4), and `detect-rmt --k 2 --no-residual --window 20` on the same
-record with its first two channels 0 at t=41 (a zero segment, exit 3).
+exit 4), `detect-rmt --k 2 --no-residual --window 20` on the same
+record with its first two channels 0 at t=41 (a zero segment, exit 3),
+and `detect-sae --checkpoint` on case_a_step with a copy of its trained
+model.json whose scaler `flagged` entries are the string "no" (exit 2).
 For each it prints `fail/<label> exit=<code> <line>`, where the line is
 the CLI's `kronlift <command>:` line on stderr (numpy's warnings may
 come before it), or else the first stderr line, with WORKDIR written as
@@ -147,6 +149,13 @@ def failing_commands(errors: Path, data: str):
                       "--config", str(cfg)]
     yield "zero_segment", ["detect-rmt", str(errors / "zero_segment.csv"),
                            "--k", "2", "--no-residual", "--window", "20"]
+    trained = errors.parent / "case_a_step" / "sae" / "model.json"
+    doc = json.loads(trained.read_text(encoding="utf-8"))
+    doc["scaler"]["flagged"] = ["no"] * len(doc["scaler"]["flagged"])
+    ckpt = errors / "flagged_string.json"
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    yield "flagged_string", ["detect-sae", data, "--config", "case_a_step",
+                             "--checkpoint", str(ckpt)]
 
 
 def main_digests(work: Path) -> int:
