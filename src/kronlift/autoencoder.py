@@ -24,7 +24,10 @@ from .data_model import (
     SpatioTemporalMatrix,
     boolean,
     check_seed,
+    integer,
     list_of,
+    non_negative,
+    number,
 )
 from .errors import ConfigError, NumericalError, PreconditionError
 from .lift import lift_matrix
@@ -469,10 +472,10 @@ def load_checkpoint(path):
         )
     try:
         model = AutoencoderModel(
-            layer_sizes=tuple(doc["layer_sizes"]),
+            layer_sizes=list_of(integer)(doc["layer_sizes"]),
             weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
             biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-            seed=int(doc["seed"]),
+            seed=non_negative(doc["seed"]),
         )
         activation = doc.get("activation", "sigmoid")
         if activation != "sigmoid":
@@ -482,8 +485,8 @@ def load_checkpoint(path):
             )
         sc = doc["scaler"]
         scaler = MinMaxScaler(
-            lo=np.asarray(sc["lo"], dtype=float),
-            span=np.asarray(sc["span"], dtype=float),
+            lo=_scaler_numbers(sc, "lo"),
+            span=_scaler_numbers(sc, "span"),
             flagged=np.asarray(list_of(boolean)(sc["flagged"]), dtype=bool),
         )
     except KeyError as exc:
@@ -495,9 +498,26 @@ def load_checkpoint(path):
         raise ConfigError(
             f"malformed checkpoint {path}: scaler does not have {d[0]} coordinates"
         )
-    for name, arrays in [("weights", model.weights), ("biases", model.biases),
-                         ("scaler lo", [scaler.lo]),
-                         ("scaler span", [scaler.span])]:
+    for name, arrays in [("weights", model.weights), ("biases", model.biases)]:
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ConfigError(f"malformed checkpoint {path}: non-finite {name}")
+    # fit_scaler writes spans >= 0 and flags exactly the zero ones
+    zero = scaler.span == 0.0
+    bad = np.flatnonzero((scaler.span < 0.0) | (scaler.flagged != zero))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(
+            f"malformed checkpoint {path}: scaler coordinate {i} has span "
+            f"{float(scaler.span[i])!r} and flagged "
+            f"{json.dumps(bool(scaler.flagged[i]))}"
+        )
     return model, scaler
+
+
+def _scaler_numbers(sc: dict, key: str) -> np.ndarray:
+    """sc[key] as floats, every entry a JSON number (data_model.number)."""
+    values = sc[key]
+    # JSON's NaN and Infinity load as floats; name the field they sit in
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise ValueError(f"non-finite scaler {key}")
+    return np.array(list_of(number)(values), dtype=float)

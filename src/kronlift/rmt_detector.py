@@ -5,18 +5,8 @@ the covariance spectrum and the ring spectrum per window, and emits LES
 and MSR indicator curves plus robust-deviation alarms.
 
 Windows are independent (ring randomness is keyed by (seed, t)), so
-run_rmt splits them into contiguous chunks, one per worker, and
-evaluates all but the first chunk in forked children.  Every chunk
-writes its LES/MSR values into its own columns of one result buffer, an
-anonymous shared mapping, so children return nothing but an exit
-status.  Workers are the CPUs the process may run on divided by the BLAS
-thread count (spectral._worker_count), so a BLAS left to take every CPU
-gets one chunk, evaluated in this process by the same loop.  The fork
-protocol is spectral._run_forked, which the snapshots' summarize_window
-also uses to solve a wide window's covariance and ring at once; window
-workers call window_spectra and never fork again.  Each window runs the
-same code in whichever process evaluates it, so the curves and the
-snapshots do not depend on the worker count.
+run_rmt evaluates one contiguous chunk of them per worker through
+_workers, which describes the fork protocol.
 """
 
 from __future__ import annotations
@@ -26,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from . import spectral
+from . import _workers
 from .data_model import (
     IndicatorSeries,
     LiftConfig,
@@ -173,19 +163,14 @@ def _evaluate(
 def _evaluate_parallel(
     lifted: LiftedMatrix, times: np.ndarray, cfg: RmtDetectorConfig
 ) -> np.ndarray:
-    """_evaluate over contiguous chunks, one per worker, the first here.
-
-    Each chunk fills its own columns of one shared result buffer, and a
-    chunk whose child failed is evaluated again here, in chunk order
-    (spectral._run_forked), so an error surfaces as the serial loop
-    raises it.
-    """
-    workers = min(spectral._worker_count(), times.size)
-    out = spectral._shared_array(2 * times.size, float).reshape(2, -1)
+    """_evaluate over one chunk per worker, each filling its own columns
+    of one shared result buffer (_workers.run_forked)."""
+    workers = min(_workers.worker_count(), times.size)
+    out = _workers.shared_array(2 * times.size, float).reshape(2, -1)
     chunks = np.array_split(times, workers)
     dests = np.array_split(out, workers, axis=1)  # views into out
-    spectral._run_forked([partial(_evaluate, lifted, chunk, cfg, dest)
-                          for chunk, dest in zip(chunks, dests)])
+    _workers.run_forked([partial(_evaluate, lifted, chunk, cfg, dest)
+                         for chunk, dest in zip(chunks, dests)])
     return out
 
 

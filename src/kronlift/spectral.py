@@ -14,23 +14,18 @@ reported SpectralSummary.c_ratio is samples / dimension.  The reciprocal
 conversion happens in exactly one place, summarize_window.
 
 A window's two halves, the covariance spectrum and the ring, are
-independent.  summarize_window solves them at once, the ring in a forked
-child, when the window has more rows than columns and _worker_count
-leaves a second CPU free; _run_forked holds the fork protocol that
-rmt_detector's window workers use as well.  Either way each half runs
-the same code, so the bytes do not depend on the worker count.
+independent, and summarize_window solves a tall window's halves at once
+through _workers, which describes the fork protocol.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
-import signal
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from . import _workers
 from .errors import ConfigError, NumericalError, PreconditionError
 
 RING_INNER_SLACK = 0.05
@@ -38,9 +33,6 @@ RING_OUTER_EDGE = 1.05
 # a row with std <= DEAD_ROW_RTOL * max|entry| is constant up to rounding
 # (about 1-3 eps); live benchmark windows sit at 8.5e-4 or more
 DEAD_ROW_RTOL = 64 * np.finfo(float).eps
-# where OpenBLAS reads its thread count, in its order (MKL also honours
-# OMP_NUM_THREADS); an unknown count means the BLAS takes every CPU
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -266,75 +258,6 @@ def esd_ks_distance(eigs: np.ndarray, law) -> float:
     return float(min(1.0, d))
 
 
-def _worker_count() -> int:
-    """Processes one command may keep busy: CPUs per BLAS thread count.
-
-    The BLAS reads its thread count from the environment when numpy
-    loads and starts one thread per CPU when none is set.  Its idle
-    threads spin, so a second process would oversubscribe the CPUs: with
-    2 processes of 2 OpenBLAS threads on 2 CPUs a k=2 run took 3.6x as
-    long as the serial loop.  Without fork, as on Windows, it is 1.
-    """
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
-
-
-def _shared_array(size: int, dtype) -> np.ndarray:
-    """A zeroed 1-D array in an anonymous shared mapping, which a forked
-    child writes and its parent reads."""
-    dtype = np.dtype(dtype)
-    buf = mmap.mmap(-1, max(1, size) * dtype.itemsize)
-    return np.frombuffer(buf, dtype, count=size)
-
-
-def _run_forked(tasks):
-    """Run tasks[1:] in forked children and tasks[0] here; return its value.
-
-    Children report only through their exit status, so every task but
-    the first writes its results into a _shared_array.  A forked child
-    runs only numpy and this package, takes no lock another thread could
-    hold, and leaves by os._exit, so fork is safe here; OpenBLAS stops its
-    own thread pool before each fork.  If tasks[0] raises, the children
-    are killed and reaped before the error propagates.  A task whose
-    child did not exit 0 or never started runs again here, in task order,
-    so an error surfaces exactly as running the tasks in order raises it.
-    """
-    pids: dict[int, int] = {}  # task index -> child pid
-    try:
-        for j in range(1, len(tasks)):
-            try:
-                pids[j] = os.fork()
-            except OSError:
-                continue
-            if pids[j] == 0:
-                code = 1
-                try:
-                    tasks[j]()
-                    code = 0
-                finally:
-                    os._exit(code)  # skip the parent's exit handlers and buffers
-        result = tasks[0]()
-    except BaseException:
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = {j: os.waitpid(pid, 0)[1] for j, pid in pids.items()}
-    for j in range(1, len(tasks)):
-        if status.get(j, 1) != 0:  # failed, or never forked
-            tasks[j]()
-    return result
-
-
 def _covariance_spectrum(W: np.ndarray) -> np.ndarray:
     """Eigenvalues of the window covariance, every column weighted 1/N'."""
     return covariance_eigenvalues(tensor_covariance(W))
@@ -365,17 +288,17 @@ def window_spectra(W: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _concurrent_spectra(W: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
-    """window_spectra with the ring in a forked child, the covariance here.
+    """window_spectra with the ring in a forked child when a worker is free.
 
     The covariance is the task run here, so its errors come out before
     the ring's, as in window_spectra.
     """
-    ring = _shared_array(min(W.shape), complex)
+    ring = _workers.shared_array(min(W.shape), complex)
 
     def solve_ring():
         ring[:] = _ring_spectrum(W, seed)
 
-    cov_eigs = _run_forked([partial(_covariance_spectrum, W), solve_ring])
+    cov_eigs = _workers.run_forked([partial(_covariance_spectrum, W), solve_ring])
     return cov_eigs, ring.copy()
 
 
@@ -387,15 +310,13 @@ def summarize_window(W: np.ndarray, *, seed) -> SpectralSummary:
     The ring reference uses the ratio c of the ring orientation chosen by
     window_spectra, rows over columns.  That ring's rows have variance 1/N',
     so ring_coverage reads its moduli over its outer radius sqrt(c).
-    When the window has more rows than columns, its dim x dim covariance
-    eigensolve costs about as much as the ring, so with a second worker
-    free (_worker_count) the two halves run at once, with the bytes
-    window_spectra gives.  Other windows' covariance takes a few ms and is
-    not worth a fork.
+    A window with more rows than columns, whose dim x dim covariance
+    eigensolve costs about as much as the ring, solves its two halves at
+    once (_concurrent_spectra); other windows' covariance takes a few ms.
     """
     W = np.asarray(W, dtype=float)
     dim, n_cols = W.shape
-    if dim > n_cols and _worker_count() >= 2:
+    if dim > n_cols:
         cov_eigs, ring_eigs = _concurrent_spectra(W, seed)
     else:
         cov_eigs, ring_eigs = window_spectra(W, seed)

@@ -313,6 +313,12 @@ class TestDetectSae:
         ("infinite span", "non-finite scaler span"),
         ("string flagged", "expected true or false"),
         ("boolean version", "unsupported schema_version True"),
+        ("unflagged zero span", "scaler coordinate 0 has span 0.0 and flagged false"),
+        ("negative span", "scaler coordinate 0 has span -1.0 and flagged false"),
+        ("flagged live span", "and flagged true"),
+        ("boolean lo", "expected a number"),
+        ("fractional seed", "expected an integer"),
+        ("fractional layer size", "expected an integer"),
     ])
     def test_malformed_checkpoint_exits_2(self, small_data, tmp_path, capsys,
                                           doc, message):
@@ -331,6 +337,18 @@ class TestDetectSae:
                 trained["scaler"]["flagged"] = ["no"] * 4
             elif doc == "boolean version":  # true == 1
                 trained["schema_version"] = True
+            elif doc == "unflagged zero span":  # would divide by zero
+                trained["scaler"]["span"][0] = 0.0
+            elif doc == "negative span":  # would mirror the coordinate
+                trained["scaler"]["span"][0] = -1.0
+            elif doc == "flagged live span":
+                trained["scaler"]["flagged"][0] = True
+            elif doc == "boolean lo":  # np.asarray reads true as 1.0
+                trained["scaler"]["lo"][0] = True
+            elif doc == "fractional seed":  # int() truncates
+                trained["seed"] = 1.7
+            elif doc == "fractional layer size":
+                trained["layer_sizes"][1] += 0.5
             else:
                 trained["scaler"]["span"][0] = float("inf")
             doc = trained

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from kronlift import rmt_detector, spectral
+from kronlift import _workers, rmt_detector, spectral
 from kronlift.data_model import LiftConfig, SpatioTemporalMatrix, WindowSpec
 from kronlift.errors import ConfigError, NumericalError, PreconditionError
 from kronlift.indicators import msr
@@ -310,10 +310,6 @@ class TestDetection:
         assert hits / total <= 0.02
 
 
-def _workers(monkeypatch, n):
-    monkeypatch.setattr(spectral, "_worker_count", lambda: n)
-
-
 def _raw(rep):
     return rep.les_raw.values.tobytes(), rep.msr_raw.values.tobytes()
 
@@ -339,7 +335,7 @@ def frozen_stm(freeze_from):
 class TestParallelWindows:
     """Windows spread over forked workers give the serial loop's results."""
 
-    @pytest.mark.parametrize("env,workers", [
+    @pytest.mark.parametrize("env,expected", [
         ({}, 1),
         ({"OPENBLAS_NUM_THREADS": "1"}, 4),
         ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
@@ -348,14 +344,14 @@ class TestParallelWindows:
         ({"OMP_NUM_THREADS": "x"}, 1),
     ])
     def test_worker_count_leaves_cpus_to_blas_threads(self, monkeypatch,
-                                                     env, workers):
+                                                     env, expected):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
-        for var in spectral.BLAS_THREAD_VARS:
+        for var in _workers.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert spectral._worker_count() == workers
+        assert _workers.worker_count() == expected
 
     @pytest.fixture(scope="class")
     def case_a(self):
@@ -364,7 +360,7 @@ class TestParallelWindows:
         return generate(scenario_from_dict(doc["scenario"]))
 
     @pytest.mark.parametrize("k,n", [(1, 28), (2, 14)])
-    def test_case_a_slice_bit_identical(self, case_a, monkeypatch, k, n):
+    def test_case_a_slice_bit_identical(self, case_a, workers, k, n):
         cfg = RmtDetectorConfig(
             lift=LiftConfig(k=k, n=n),
             window=WindowSpec(width=200),
@@ -373,41 +369,41 @@ class TestParallelWindows:
             eval_from=495,
             eval_to=506,
         )
-        _workers(monkeypatch, 1)
+        workers(1)
         serial = run_rmt(case_a, cfg)
-        _workers(monkeypatch, 2)
+        workers(2)
         parallel = run_rmt(case_a, cfg)
         assert _raw(parallel) == _raw(serial)
         _no_children_left()
 
-    def test_stride_and_fewer_windows_than_workers(self, monkeypatch):
+    def test_stride_and_fewer_windows_than_workers(self, workers):
         D = white_stm(6, 60, seed=21)
         cfg = small_config(
             window=WindowSpec(width=12, stride=3),
             eval_from=30, eval_to=36,
             deviation_rule=DeviationRule(enabled=False),
         )
-        _workers(monkeypatch, 1)
+        workers(1)
         serial = run_rmt(D, cfg)
-        _workers(monkeypatch, 8)
+        workers(8)
         parallel = run_rmt(D, cfg)
         assert list(parallel.les_raw.times()) == [30, 33, 36]
         assert _raw(parallel) == _raw(serial)
         _no_children_left()
 
-    def test_fork_failure_falls_back_to_parent(self, monkeypatch):
+    def test_fork_failure_falls_back_to_parent(self, monkeypatch, workers):
         def no_fork():
             raise OSError("fork refused")
 
         D = white_stm(6, 60, seed=22)
         cfg = small_config(deviation_rule=DeviationRule(enabled=False))
-        _workers(monkeypatch, 1)
+        workers(1)
         serial = run_rmt(D, cfg)
-        _workers(monkeypatch, 3)
+        workers(3)
         monkeypatch.setattr(os, "fork", no_fork)
         assert _raw(run_rmt(D, cfg)) == _raw(serial)
 
-    def test_killed_child_slice_is_rerun(self, monkeypatch):
+    def test_killed_child_slice_is_rerun(self, monkeypatch, workers):
         real_evaluate = rmt_detector._evaluate
         parent = os.getpid()
 
@@ -419,14 +415,14 @@ class TestParallelWindows:
 
         D = white_stm(6, 60, seed=24)
         cfg = small_config(deviation_rule=DeviationRule(enabled=False))
-        _workers(monkeypatch, 1)
+        workers(1)
         serial = run_rmt(D, cfg)
         monkeypatch.setattr(rmt_detector, "_evaluate", evaluate)
-        _workers(monkeypatch, 3)
+        workers(3)
         assert _raw(run_rmt(D, cfg)) == _raw(serial)
         _no_children_left()
 
-    def test_earliest_failing_window_raises(self, monkeypatch):
+    def test_earliest_failing_window_raises(self, monkeypatch, workers):
         # windows end at t=13..60; with 3 workers t=30 and t=55 fall in the
         # first and the second child's chunks, so both children fail
         real_kernel = rmt_detector.window_spectra
@@ -439,14 +435,14 @@ class TestParallelWindows:
         monkeypatch.setattr(rmt_detector, "window_spectra", kernel)
         D = white_stm(6, 60, seed=25)
         for n in (1, 3):
-            _workers(monkeypatch, n)
+            workers(n)
             with pytest.raises(NumericalError,
                                match="^window ending at t=30: injected$"):
                 run_rmt(D, small_config())
             _no_children_left()
 
     @pytest.mark.parametrize("freeze_from", [30, 60])
-    def test_frozen_span_raises_serial_error(self, monkeypatch, freeze_from):
+    def test_frozen_span_raises_serial_error(self, workers, freeze_from):
         # the first window of stuck columns ends at freeze_from + 19: in
         # the parent's chunk (30) or the last child's (60) with 2 workers
         D = frozen_stm(freeze_from)
@@ -455,7 +451,7 @@ class TestParallelWindows:
                            deviation_rule=DeviationRule(enabled=False))
         errors = []
         for n in (1, 2, 3):
-            _workers(monkeypatch, n)
+            workers(n)
             with pytest.raises(PreconditionError) as info:
                 run_rmt(D, cfg)
             errors.append((type(info.value), str(info.value)))
@@ -465,7 +461,7 @@ class TestParallelWindows:
                              "row 0 has zero variance")
         assert errors[1:] == errors[:1] * 2
 
-    def test_parent_failure_stops_children(self, monkeypatch):
+    def test_parent_failure_stops_children(self, monkeypatch, workers):
         killed = []
         real_kill = os.kill
 
@@ -474,7 +470,7 @@ class TestParallelWindows:
             real_kill(pid, sig)
 
         monkeypatch.setattr(os, "kill", kill)
-        _workers(monkeypatch, 3)
+        workers(3)
         cfg = small_config(lift=LiftConfig(k=2, n=4),
                            window=WindowSpec(width=20), use_residual=False,
                            deviation_rule=DeviationRule(enabled=False))
@@ -484,7 +480,7 @@ class TestParallelWindows:
         assert len(killed) == 2
         _no_children_left()
 
-    def test_ring_solver_failure_names_window(self, monkeypatch):
+    def test_ring_solver_failure_names_window(self, monkeypatch, workers):
         real_sve = spectral.singular_value_equivalent
         real_eigvals = np.linalg.eigvals
         current = {}
@@ -503,7 +499,7 @@ class TestParallelWindows:
         D = white_stm(6, 60, seed=23)
         messages = []
         for n in (1, 2):
-            _workers(monkeypatch, n)
+            workers(n)
             with pytest.raises(NumericalError) as info:
                 run_rmt(D, small_config())
             messages.append(str(info.value))

@@ -533,15 +533,12 @@ class TestConcurrentHalves:
         return calls
 
     @staticmethod
-    def workers(monkeypatch, n):
-        monkeypatch.setattr(spectral, "_worker_count", lambda: n)
-
-    @staticmethod
     def tall(seed=31):
         return np.random.default_rng(seed).standard_normal((196, 100))
 
-    def outcome(self, monkeypatch, n, W):
-        self.workers(monkeypatch, n)
+    @staticmethod
+    def outcome(workers, n, W):
+        workers(n)
         try:
             return _summary_bytes(summarize_window(W, seed=(5, 500)))
         except Exception as exc:
@@ -549,15 +546,14 @@ class TestConcurrentHalves:
         finally:
             _no_children_left()
 
-    def test_tall_window_bytes_do_not_depend_on_workers(self, monkeypatch,
-                                                        forks):
+    def test_tall_window_bytes_do_not_depend_on_workers(self, workers, forks):
         W = self.tall()
-        serial = self.outcome(monkeypatch, 1, W)
+        serial = self.outcome(workers, 1, W)
         assert forks == []
-        assert self.outcome(monkeypatch, 2, W) == serial
+        assert self.outcome(workers, 2, W) == serial
         assert forks == [os.getpid()]
 
-    def test_snapshots_do_not_depend_on_workers(self, monkeypatch):
+    def test_snapshots_do_not_depend_on_workers(self, workers):
         # 8 channels at k=2, n=4 lift to 16 dims against 12 columns
         rng = np.random.default_rng(32)
         D = SpatioTemporalMatrix(values=1.0 + 1e-3 * rng.standard_normal((8, 60)),
@@ -567,7 +563,7 @@ class TestConcurrentHalves:
                                 deviation_rule=DeviationRule(enabled=False))
         reports = []
         for n in (1, 2):
-            self.workers(monkeypatch, n)
+            workers(n)
             rep = run_rmt(D, cfg, snapshot_at=(40, 41))
             reports.append({t: _summary_bytes(s)
                             for t, s in rep.spectral_snapshots.items()})
@@ -575,7 +571,8 @@ class TestConcurrentHalves:
         assert reports[0][40][0] != reports[0][41][0]
         assert reports[1] == reports[0]
 
-    def test_covariance_failure_raises_serial_error(self, monkeypatch, forks):
+    def test_covariance_failure_raises_serial_error(self, monkeypatch, workers,
+                                                    forks):
         def covariance(W):
             raise NumericalError("injected covariance failure")
 
@@ -589,21 +586,22 @@ class TestConcurrentHalves:
         monkeypatch.setattr(spectral, "tensor_covariance", covariance)
         monkeypatch.setattr(os, "kill", kill)
         W = self.tall()
-        serial = self.outcome(monkeypatch, 1, W)
+        serial = self.outcome(workers, 1, W)
         assert serial == (NumericalError, "injected covariance failure")
-        assert self.outcome(monkeypatch, 2, W) == serial
+        assert self.outcome(workers, 2, W) == serial
         assert len(forks) == 1 and killed == [signal.SIGKILL]
 
-    def test_ring_failure_in_child_is_rerun_here(self, monkeypatch, forks):
+    def test_ring_failure_in_child_is_rerun_here(self, workers, forks):
         # a constant column is a dead row of the transposed ring window
         W = self.tall()
         W[:, 7] = 0.25
-        serial = self.outcome(monkeypatch, 1, W)
+        serial = self.outcome(workers, 1, W)
         assert serial == (PreconditionError, "row 7 has zero variance")
-        assert self.outcome(monkeypatch, 2, W) == serial
+        assert self.outcome(workers, 2, W) == serial
         assert len(forks) == 1
 
-    def test_killed_child_ring_is_solved_again(self, monkeypatch, forks):
+    def test_killed_child_ring_is_solved_again(self, monkeypatch, workers,
+                                               forks):
         real_ring = spectral._ring_spectrum
         parent = os.getpid()
 
@@ -613,25 +611,25 @@ class TestConcurrentHalves:
             return real_ring(W, seed)
 
         W = self.tall()
-        serial = self.outcome(monkeypatch, 1, W)
+        serial = self.outcome(workers, 1, W)
         monkeypatch.setattr(spectral, "_ring_spectrum", ring)
-        assert self.outcome(monkeypatch, 2, W) == serial
+        assert self.outcome(workers, 2, W) == serial
         assert len(forks) == 1
 
-    def test_fork_failure_gives_serial_result(self, monkeypatch):
+    def test_fork_failure_gives_serial_result(self, monkeypatch, workers):
         def no_fork():
             raise OSError("fork refused")
 
         W = self.tall()
-        serial = self.outcome(monkeypatch, 1, W)
+        serial = self.outcome(workers, 1, W)
         monkeypatch.setattr(os, "fork", no_fork)
-        assert self.outcome(monkeypatch, 2, W) == serial
+        assert self.outcome(workers, 2, W) == serial
 
     @pytest.mark.parametrize("shape,n", [
         ((100, 196), 2), ((196, 196), 2), ((196, 100), 1),
     ])
-    def test_no_fork_unless_tall_with_two_workers(self, monkeypatch, forks,
+    def test_no_fork_unless_tall_with_two_workers(self, workers, forks,
                                                   shape, n):
         W = np.random.default_rng(33).standard_normal(shape)
-        self.outcome(monkeypatch, n, W)
+        self.outcome(workers, n, W)
         assert forks == []

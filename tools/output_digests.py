@@ -34,8 +34,10 @@ window wider than the record, exit 3), `detect-sae --k 2` with learning
 rate 1.7e308 on a 4-channel record of 60 samples (a non-finite loss,
 exit 4), `detect-rmt --k 2 --no-residual --window 20` on the same
 record with its first two channels 0 at t=41 (a zero segment, exit 3),
-and `detect-sae --checkpoint` on case_a_step with a copy of its trained
-model.json whose scaler `flagged` entries are the string "no" (exit 2).
+and `detect-sae --checkpoint` on case_a_step with three corrupted copies
+of its trained model.json (each exit 2): scaler `flagged` entries that
+are the string "no", a scaler `span` of 0 on the first coordinate that
+`flagged` does not pin, and a `"seed"` of 1.7.
 For each it prints `fail/<label> exit=<code> <line>`, where the line is
 the CLI's `kronlift <command>:` line on stderr (numpy's warnings may
 come before it), or else the first stderr line, with WORKDIR written as
@@ -150,12 +152,19 @@ def failing_commands(errors: Path, data: str):
     yield "zero_segment", ["detect-rmt", str(errors / "zero_segment.csv"),
                            "--k", "2", "--no-residual", "--window", "20"]
     trained = errors.parent / "case_a_step" / "sae" / "model.json"
-    doc = json.loads(trained.read_text(encoding="utf-8"))
-    doc["scaler"]["flagged"] = ["no"] * len(doc["scaler"]["flagged"])
-    ckpt = errors / "flagged_string.json"
-    ckpt.write_text(json.dumps(doc), encoding="utf-8")
-    yield "flagged_string", ["detect-sae", data, "--config", "case_a_step",
-                             "--checkpoint", str(ckpt)]
+    for label in ("flagged_string", "span_zero", "fractional_seed"):
+        doc = json.loads(trained.read_text(encoding="utf-8"))
+        sc = doc["scaler"]
+        if label == "flagged_string":
+            sc["flagged"] = ["no"] * len(sc["flagged"])
+        elif label == "span_zero":  # on the first coordinate left unpinned
+            sc["span"][sc["flagged"].index(False)] = 0.0
+        else:
+            doc["seed"] = 1.7
+        ckpt = errors / f"{label}.json"
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        yield label, ["detect-sae", data, "--config", "case_a_step",
+                      "--checkpoint", str(ckpt)]
 
 
 def main_digests(work: Path) -> int:
