@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -473,8 +474,8 @@ def load_checkpoint(path):
     try:
         model = AutoencoderModel(
             layer_sizes=list_of(integer)(doc["layer_sizes"]),
-            weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
+            weights=_parameters(doc, "weights"),
+            biases=_parameters(doc, "biases"),
             seed=non_negative(doc["seed"]),
         )
         activation = doc.get("activation", "sigmoid")
@@ -491,7 +492,7 @@ def load_checkpoint(path):
         )
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} has no key {exc}") from exc
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed checkpoint {path}: {exc}") from exc
     d = (model.layer_sizes[0],)
     if not scaler.lo.shape == scaler.span.shape == scaler.flagged.shape == d:
@@ -521,3 +522,17 @@ def _scaler_numbers(sc: dict, key: str) -> np.ndarray:
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
         raise ValueError(f"non-finite scaler {key}")
     return np.array(list_of(number)(values), dtype=float)
+
+
+def _parameters(doc: dict, key: str) -> list[np.ndarray]:
+    """doc[key], per-layer weight matrices or bias vectors, as float arrays;
+    every entry must be a JSON number (np.asarray reads true as 1.0 and
+    "1.5" as 1.5).  Shapes and non-finite entries are left to the caller."""
+    arrays = []
+    for a in doc[key]:
+        rows = all(isinstance(row, list) for row in a)
+        entries = chain.from_iterable(a) if rows else a
+        if not set(map(type, entries)) <= {int, float}:  # type(True) is bool
+            raise ValueError(f"{key}: expected a number")
+        arrays.append(np.array(a, dtype=float))
+    return arrays

@@ -53,8 +53,7 @@ from .data_model import (
 )
 from .errors import ConfigError, KronliftError
 from .indicators import TestFunction, chebyshev, entropy, likelihood_ratio
-from .lift import lift_matrix
-from .rmt_detector import DeviationRule, RmtDetectorConfig, run_rmt, window_at
+from .rmt_detector import DeviationRule, RmtDetectorConfig, lift_window, run_rmt
 from .spectral import summarize_window
 from .synth import generate, scenario_from_dict
 
@@ -381,16 +380,16 @@ def cmd_esd_check(args, out: Path):
         choice = esd["snapshot_at"] = str(choice[0])
 
     data = residual_matrix(M) if esd["use_residual"] else M
-    lifted = lift_matrix(data, cfg.lift, scale_mode="sqrt-dim")
     if choice == "all":
-        t, width, window = lifted.t0 + lifted.samples - 1, lifted.samples, "all"
+        t, width, window = data.t0 + data.samples - 1, data.samples, "all"
     else:
         try:
             t = int(choice)
         except ValueError as exc:
             raise ConfigError(f"bad --snapshot-at value {choice!r}") from exc
         width = window = cfg.window.width
-    summary = summarize_window(window_at(lifted, t, width), seed=(esd["seed"], t))
+    W = lift_window(data, cfg.lift, t, width)
+    summary = summarize_window(W, seed=(esd["seed"], t))
 
     outputs = [
         _write_lines(out / "summary.json", [json.dumps(

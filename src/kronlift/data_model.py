@@ -65,6 +65,12 @@ class SpatioTemporalMatrix:
     def samples(self) -> int:
         return self.values.shape[1]
 
+    def columns(self, first: int, last: int) -> SpatioTemporalMatrix:
+        """The samples at public times first..last, a view of values."""
+        j = first - self.t0
+        return SpatioTemporalMatrix(self.values[:, j : j + last - first + 1],
+                                    self.channel_ids, first)
+
 
 @dataclass(frozen=True)
 class LiftConfig:

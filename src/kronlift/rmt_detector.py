@@ -2,7 +2,8 @@
 
 Slides a window over the (optionally differenced) lifted data, extracts
 the covariance spectrum and the ring spectrum per window, and emits LES
-and MSR indicator curves plus robust-deviation alarms.
+and MSR indicator curves plus robust-deviation alarms.  The lift works
+column by column, so only the columns the windows read are lifted.
 
 Windows are independent (ring randomness is keyed by (seed, t)), so
 run_rmt evaluates one contiguous chunk of them per worker through
@@ -108,15 +109,31 @@ def _window_ends(data, width: int) -> tuple[int, int]:
     return data.t0 + width - 1, data.t0 + data.samples - 1
 
 
-def window_at(lifted: LiftedMatrix, t: int, width: int) -> np.ndarray:
-    """The width most recent lifted columns ending at public time t."""
-    first, last = _window_ends(lifted, width)
+def _check_end(data, t: int, width: int) -> None:
+    """PreconditionError unless a width-column window of data ends at t."""
+    first, last = _window_ends(data, width)
     if t < first or t > last:
         raise PreconditionError(
             f"window ending at t={t} needs t in [{first}, {last}]"
         )
+
+
+def window_at(lifted: LiftedMatrix, t: int, width: int) -> np.ndarray:
+    """The width most recent lifted columns ending at public time t."""
+    _check_end(lifted, t, width)
     j = t - lifted.t0
     return lifted.values[:, j - width + 1 : j + 1]
+
+
+def lift_window(
+    data: SpatioTemporalMatrix, lift: LiftConfig, t: int, width: int
+) -> np.ndarray:
+    """window_at of data's sqrt-dim lift, which the reference laws assume,
+    lifting only the window's columns: a zero segment outside the window
+    does not stop it."""
+    _check_end(data, t, width)
+    return lift_matrix(data.columns(t - width + 1, t), lift,
+                       scale_mode="sqrt-dim").values
 
 
 def _check_baseline(rule: DeviationRule, points: int) -> None:
@@ -190,7 +207,6 @@ def run_rmt(
     data = residual_matrix(D) if cfg.use_residual else D
     width = cfg.window.width
     first, last = _window_ends(data, width)
-    lifted = lift_matrix(data, cfg.lift, scale_mode=cfg.scale_mode)
     lo = first if cfg.eval_from is None else max(first, int(cfg.eval_from))
     hi = last if cfg.eval_to is None else min(last, int(cfg.eval_to))
     if lo > hi:
@@ -199,11 +215,13 @@ def run_rmt(
             f"within valid times [{first}, {last}]"
         )
     times = np.arange(lo, hi + 1, cfg.window.stride)
+    # only the columns the windows read, from the first one's to the last's
+    lifted = lift_matrix(data.columns(lo - width + 1, int(times[-1])),
+                         cfg.lift, scale_mode=cfg.scale_mode)
     _check_baseline(cfg.deviation_rule, times.size)
-    # cut the snapshot windows first, so a bad time fails before any window runs
-    snap_windows = {int(t): window_at(lifted, int(t), width) for t in snapshot_at}
-    if cfg.scale_mode == "unit-norm":  # the reference laws assume sqrt-dim
-        snap_windows = {t: W * np.sqrt(lifted.dim) for t, W in snap_windows.items()}
+    # lift the snapshot windows first, so a bad one fails before any window runs
+    snap_windows = {int(t): lift_window(data, cfg.lift, int(t), width)
+                    for t in snapshot_at}
 
     les_vals, msr_vals = _evaluate_parallel(lifted, times, cfg)
 

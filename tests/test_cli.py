@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,10 @@ class TestDetectSae:
         ("negative span", "scaler coordinate 0 has span -1.0 and flagged false"),
         ("flagged live span", "and flagged true"),
         ("boolean lo", "expected a number"),
+        ("boolean weight", "weights: expected a number"),
+        ("string weight", "weights: expected a number"),
+        ("boolean bias", "biases: expected a number"),
+        ("huge integer weight", "int too large to convert to float"),
         ("fractional seed", "expected an integer"),
         ("fractional layer size", "expected an integer"),
     ])
@@ -345,6 +350,14 @@ class TestDetectSae:
                 trained["scaler"]["flagged"][0] = True
             elif doc == "boolean lo":  # np.asarray reads true as 1.0
                 trained["scaler"]["lo"][0] = True
+            elif doc == "boolean weight":
+                trained["weights"][0][0][0] = True
+            elif doc == "string weight":  # np.asarray reads "1.5" as 1.5
+                trained["weights"][0][0][0] = "1.5"
+            elif doc == "boolean bias":
+                trained["biases"][1][0] = True
+            elif doc == "huge integer weight":  # float() overflows
+                trained["weights"][0][0][0] = 10**400
             elif doc == "fractional seed":  # int() truncates
                 trained["seed"] = 1.7
             elif doc == "fractional layer size":
@@ -450,6 +463,75 @@ class TestEsdCheck:
             (out2 / "summary.json").read_bytes()
         assert (out1 / "ring_scatter.csv").read_bytes() == \
             (out2 / "ring_scatter.csv").read_bytes()
+
+
+class TestZeroSegment:
+    """A zero segment stops a command only when a window it reads holds it:
+    each command lifts only the columns of the windows it reads."""
+
+    @pytest.fixture
+    def record(self, tmp_path):
+        values = np.random.default_rng(0).normal(size=(4, 60))
+        values[:2, 40] = 0.0  # segment 1 at t=41
+        path = tmp_path / "zero_segment.csv"
+        save_matrix(SpatioTemporalMatrix(values, list("abcd")), path)
+        cfg = write_config(tmp_path, {"detector": {"baseline_span": 10}})
+        return str(path), cfg
+
+    def test_esd_check_window_before_it(self, record, tmp_path):
+        data, _ = record
+        assert main(["esd-check", data, "--k", "2", "--no-residual",
+                     "--window", "20", "--snapshot-at", "30",
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_esd_check_window_holding_it(self, record, tmp_path, capsys):
+        data, _ = record
+        capsys.readouterr()
+        assert main(["esd-check", data, "--k", "2", "--no-residual",
+                     "--window", "20", "--snapshot-at", "50",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "kronlift esd-check: zero segment 1 at t=41\n")
+
+    @pytest.mark.parametrize("eval_to,code", [(39, 0), (41, 3)])
+    def test_detect_rmt_evaluated_range(self, record, tmp_path, capsys,
+                                        eval_to, code):
+        data, cfg = record
+        capsys.readouterr()
+        assert main(["detect-rmt", data, "--k", "2", "--no-residual",
+                     "--window", "20", "--eval-from", "20",
+                     "--eval-to", str(eval_to), "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "kronlift detect-rmt: zero segment 1 at t=41\n")
+
+
+def test_esd_check_memory_does_not_grow_with_the_record(tmp_path):
+    """esd-check lifts one window, not the record: a k=3, n=9 record of
+    8,000 samples would lift to 729 x 8,000 floats (47 MB)."""
+    doc = {"schema_version": 1,
+           "scenario": {"channels": 27, "baselines": 1.0, "white_sigma": 0.001,
+                        "anomalies": [{"kind": "step", "onset": 301,
+                                       "channels": [3, 12, 21],
+                                       "magnitude": 0.05}],
+                        "noise": {"b": 0.5, "snr": 1000.0, "enabled": True}},
+           "detector": {"k": 3, "n": 9}}
+    peaks = []
+    for samples in (2000, 8000):
+        doc["scenario"]["samples"] = samples
+        cfg = write_config(tmp_path, doc, name=f"k3_{samples}.json")
+        out = tmp_path / f"synth{samples}"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["esd-check", str(out / "data.csv"), "--config", cfg,
+                         "--snapshot-at", "300",
+                         "--out", str(tmp_path / f"esd{samples}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8e6
 
 
 class TestExitCodeMatrix:

@@ -38,6 +38,13 @@ class TestSpatioTemporalMatrix:
         assert m.channels == 2
         assert m.samples == 3
 
+    def test_columns_is_a_view_on_public_times(self):
+        m = make_stm(np.arange(12.0).reshape(2, 6), t0=10)
+        part = m.columns(12, 14)
+        assert part.t0 == 12 and part.channel_ids == m.channel_ids
+        np.testing.assert_array_equal(part.values, m.values[:, 2:5])
+        assert np.shares_memory(part.values, m.values)
+
     def test_rejects_nan(self):
         with pytest.raises(ConfigError):
             make_stm([[1.0, np.nan]])

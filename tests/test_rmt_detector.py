@@ -15,6 +15,7 @@ from kronlift.lift import lift_matrix
 from kronlift.rmt_detector import (
     DeviationRule,
     RmtDetectorConfig,
+    lift_window,
     run_rmt,
     window_at,
 )
@@ -86,6 +87,81 @@ class TestWindowAt:
         with pytest.raises(PreconditionError,
                            match=r"window ending at t=110 needs t in \[111, 129\]"):
             window_at(L, 110, 12)
+
+
+class TestLiftWindow:
+    """lift_window lifts only the window's columns, and lift_matrix works
+    column by column, so it is window_at of the whole record's lift."""
+
+    @pytest.mark.parametrize("t0", [1, 100])
+    @pytest.mark.parametrize("k,n", [(1, 6), (2, 3)])
+    def test_window_at_of_whole_lift_bit_for_bit(self, t0, k, n):
+        D = white_stm(6, 30, seed=1, t0=t0)
+        lifted = lift_matrix(D, LiftConfig(k=k, n=n), scale_mode="sqrt-dim")
+        for t in (t0 + 11, t0 + 20, t0 + 29):
+            np.testing.assert_array_equal(
+                lift_window(D, LiftConfig(k=k, n=n), t, 12),
+                window_at(lifted, t, 12))
+
+    @pytest.mark.parametrize("t,message", [
+        (11, r"^window ending at t=11 needs t in \[12, 30\]$"),
+        (31, r"^window ending at t=31 needs t in \[12, 30\]$"),
+    ])
+    def test_range_errors_are_window_at_s(self, t, message):
+        D = white_stm(6, 30, seed=1)
+        with pytest.raises(PreconditionError, match=message):
+            lift_window(D, LiftConfig(k=2, n=3), t, 12)
+
+    def test_zero_segment_outside_the_window_is_not_read(self):
+        D = white_stm(6, 30, seed=1)
+        D.values[:3, 24] = 0.0  # segment 1 of t=25
+        lift = LiftConfig(k=2, n=3)
+        assert lift_window(D, lift, 24, 12).shape == (9, 12)
+        with pytest.raises(PreconditionError, match="zero segment 1 at t=25"):
+            lift_window(D, lift, 25, 12)
+
+
+class TestZeroSegments:
+    """A zero segment stops run_rmt only when a window it reads holds it."""
+
+    def record(self):
+        D = white_stm(6, 60, seed=12)
+        D.values[3:, 49] = 0.0  # segment 2 of t=50
+        return D
+
+    def config(self, **kw):
+        return small_config(use_residual=False,
+                            deviation_rule=DeviationRule(enabled=False), **kw)
+
+    def test_outside_the_evaluated_windows(self):
+        clean = run_rmt(white_stm(6, 60, seed=12), self.config(eval_to=49),
+                        snapshot_at=(30,))
+        rep = run_rmt(self.record(), self.config(eval_to=49), snapshot_at=(30,))
+        np.testing.assert_array_equal(rep.les_raw.values, clean.les_raw.values)
+        np.testing.assert_array_equal(rep.msr_raw.values, clean.msr_raw.values)
+        a, b = rep.spectral_snapshots[30], clean.spectral_snapshots[30]
+        np.testing.assert_array_equal(a.covariance_eigs, b.covariance_eigs)
+        np.testing.assert_array_equal(a.ring_eigs, b.ring_eigs)
+
+    def test_in_an_evaluated_window(self):
+        with pytest.raises(PreconditionError,
+                           match=r"^zero segment 2 at t=50$"):
+            run_rmt(self.record(), self.config(eval_to=50))
+
+    def test_with_a_stride_the_last_window_bounds_the_lift(self):
+        # windows end at 12, 30 and 48; t=50 lies past the last one
+        rep = run_rmt(self.record(),
+                      self.config(window=WindowSpec(width=12, stride=18)))
+        assert list(rep.les_raw.times()) == [12, 30, 48]
+
+    def test_in_a_snapshot_window_before_any_window_runs(self, monkeypatch):
+        def kernel(*a, **kw):
+            raise AssertionError("window kernel called")
+
+        monkeypatch.setattr(rmt_detector, "window_spectra", kernel)
+        with pytest.raises(PreconditionError,
+                           match=r"^zero segment 2 at t=50$"):
+            run_rmt(self.record(), self.config(eval_to=40), snapshot_at=(55,))
 
 
 class TestRunRmtStructure:

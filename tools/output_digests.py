@@ -15,8 +15,8 @@ window; `detect-rmt --k 1 --snapshot-at 500,501` under a copy of its
 config with detector `"use_residual": true`, whose differenced windows
 tell one snapshot from another where the undifferenced k=1 ones all read
 the same KS distance; and the same run with `"scale_mode": "unit-norm"`
-as well, whose snapshot windows are rescaled to the sqrt-dim scale the
-reference laws assume (on the differenced data the snapshots' KS
+as well, whose snapshot windows are still lifted on the sqrt-dim scale
+the reference laws assume (on the differenced data the snapshots' KS
 distance reads that scale).  The two configs are written under
 WORKDIR/errors with the failing commands' inputs.  Then it
 prints one `relative-path sha256` line per file under WORKDIR (best
@@ -24,8 +24,9 @@ empty or new), sorted.  A manifest is digested without its
 `duration_seconds`, re-dumped as the CLI writes it (`indent=2`), so its
 settings, key order and digests are compared but not its run time.
 
-Then it runs a fixed set of commands that must fail, on inputs it writes
-under WORKDIR/errors (which the listing skips): a CSV with a bad float
+Then it runs a fixed set of commands whose exit code and message it
+prints, on inputs it writes under WORKDIR/errors (which the listing
+skips); all but one must fail: a CSV with a bad float
 on line 3, `esd-check` with detector `"scale_mode": "bogus"` and with
 `"baseline_span": 1`, `detect-rmt --k 1 --window 20` on a 4-channel
 record whose third channel is flat from t=31, a directory as the data
@@ -34,14 +35,18 @@ window wider than the record, exit 3), `detect-sae --k 2` with learning
 rate 1.7e308 on a 4-channel record of 60 samples (a non-finite loss,
 exit 4), `detect-rmt --k 2 --no-residual --window 20` on the same
 record with its first two channels 0 at t=41 (a zero segment, exit 3),
-and `detect-sae --checkpoint` on case_a_step with three corrupted copies
+`esd-check --k 2 --no-residual --window 20 --snapshot-at 30` on that
+record, whose window ends before the zero segment and is the one that
+succeeds (exit 0: a command lifts only the columns its windows read),
+and `detect-sae --checkpoint` on case_a_step with four corrupted copies
 of its trained model.json (each exit 2): scaler `flagged` entries that
 are the string "no", a scaler `span` of 0 on the first coordinate that
-`flagged` does not pin, and a `"seed"` of 1.7.
+`flagged` does not pin, a `"seed"` of 1.7, and a first weight of
+`true`.
 For each it prints `fail/<label> exit=<code> <line>`, where the line is
 the CLI's `kronlift <command>:` line on stderr (numpy's warnings may
-come before it), or else the first stderr line, with WORKDIR written as
-`WORKDIR`.
+come before it), or else the first stderr line (none on success), with
+WORKDIR written as `WORKDIR`.
 
 It sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS to
 1 before numpy loads, as the benchmark does, because MSR values move by
@@ -54,8 +59,8 @@ its environment.
 
 Run it on two checkouts and diff the two listings to see whether a
 change kept every output byte, exit code and error message.  Exits 1 if
-a digested command does not exit 0; the failing commands do not change
-the exit status.
+a digested command does not exit 0; the commands under WORKDIR/errors
+do not change the exit status.
 """
 
 import contextlib
@@ -151,16 +156,22 @@ def failing_commands(errors: Path, data: str):
                       "--config", str(cfg)]
     yield "zero_segment", ["detect-rmt", str(errors / "zero_segment.csv"),
                            "--k", "2", "--no-residual", "--window", "20"]
+    yield "zero_segment_unread", ["esd-check", str(errors / "zero_segment.csv"),
+                                  "--k", "2", "--no-residual", "--window", "20",
+                                  "--snapshot-at", "30"]
     trained = errors.parent / "case_a_step" / "sae" / "model.json"
-    for label in ("flagged_string", "span_zero", "fractional_seed"):
+    for label in ("flagged_string", "span_zero", "fractional_seed",
+                  "boolean_weight"):
         doc = json.loads(trained.read_text(encoding="utf-8"))
         sc = doc["scaler"]
         if label == "flagged_string":
             sc["flagged"] = ["no"] * len(sc["flagged"])
         elif label == "span_zero":  # on the first coordinate left unpinned
             sc["span"][sc["flagged"].index(False)] = 0.0
-        else:
+        elif label == "fractional_seed":
             doc["seed"] = 1.7
+        else:
+            doc["weights"][0][0][0] = True
         ckpt = errors / f"{label}.json"
         ckpt.write_text(json.dumps(doc), encoding="utf-8")
         yield label, ["detect-sae", data, "--config", "case_a_step",
