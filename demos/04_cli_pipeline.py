@@ -43,13 +43,13 @@ with tempfile.TemporaryDirectory(prefix="kronlift-demo-") as tmp:
     # 2. run the windowed spectral detector over t in [45, 70]
     rc = main(["detect-rmt", data, "--config", str(cfg_path),
                "--out", str(work / "rmt"),
-               "--eval-from", "45", "--eval-to", "70", "--snapshot-at", "50"])
+               "--eval-from", "45", "--eval-to", "70"])
     assert rc == 0
     curves = (work / "rmt" / "curves.csv").read_text().splitlines()
-    print(f"detect-rmt -> {len(curves) - 1} curve points, "
-          f"snapshot_t50.json, alarms.jsonl")
+    print(f"detect-rmt -> {len(curves) - 1} curve points, alarms.jsonl")
 
-    # 3. one-window spectrum check against the reference laws (differenced);
+    # 3. one-window spectrum check against the reference laws at t=50, the
+    # esd section's time (differenced);
     # a 64-dim desk-scale window tracks the law loosely, the first demo
     # shows how tight it gets at 729 dimensions
     rc = main(["esd-check", data, "--config", str(cfg_path),
@@ -62,7 +62,7 @@ with tempfile.TemporaryDirectory(prefix="kronlift-demo-") as tmp:
     # 4. determinism: rerun the detector and compare manifest digests
     rc = main(["detect-rmt", data, "--config", str(cfg_path),
                "--out", str(work / "rmt2"),
-               "--eval-from", "45", "--eval-to", "70", "--snapshot-at", "50"])
+               "--eval-from", "45", "--eval-to", "70"])
     assert rc == 0
     d1 = json.loads((work / "rmt" / "manifest.json").read_text())["outputs"]
     d2 = json.loads((work / "rmt2" / "manifest.json").read_text())["outputs"]

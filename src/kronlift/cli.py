@@ -166,14 +166,6 @@ def _seed(text: str) -> int:
             f"expected a non-negative integer, got {text!r}") from None
 
 
-def _times(text: str) -> tuple[int, ...]:
-    """--snapshot-at T,...: comma-separated window end times."""
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad time list {text!r}") from None
-
-
 CHEBYSHEV_SCHEMA = {"kind": (str, None), "coefficients": (list_of(number), ())}
 DETECTOR_SCHEMA = {
     "k": (integer, 2), "n": (integer, None),
@@ -187,7 +179,6 @@ DETECTOR_SCHEMA = {
     "threshold_sigmas": (number, DeviationRule.threshold_sigmas),
     "alarms_enabled": (boolean, DeviationRule.enabled),
     "seed": (non_negative, RmtDetectorConfig.seed),
-    "snapshot_at": (list_of(integer), ()),
 }
 SAE_SCHEMA = {
     "k": (integer, 2), "n": (integer, None),
@@ -196,8 +187,9 @@ SAE_SCHEMA = {
     "train_span": (_train_span, (1, 200)),
     "seed": (non_negative, TrainConfig.seed),
 }
-ESD_SCHEMA = {key: DETECTOR_SCHEMA[key]
-              for key in ("use_residual", "seed", "snapshot_at")}
+ESD_SCHEMA = {"use_residual": DETECTOR_SCHEMA["use_residual"],
+              "seed": DETECTOR_SCHEMA["seed"],
+              "snapshot_at": (list_of(integer), ())}
 
 
 def _settings(doc: dict, name: str, schema: dict, args) -> dict:
@@ -288,28 +280,14 @@ def cmd_synth(args, out: Path):
     return dataclasses.asdict(cfg), cfg.seed, {}, [data_path]
 
 
-def _summary_doc(t, summary) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "t": t,
-        "dim": int(summary.covariance_eigs.size),
-        "c_ratio": summary.c_ratio,
-        "mp_support": [summary.mp_support[0], summary.mp_support[1]],
-        "ks_distance_mp": summary.ks_distance_mp,
-        "ring_inner": summary.ring_inner,
-        "ring_coverage": summary.ring_coverage,
-    }
-
-
 def cmd_detect_rmt(args, out: Path):
     M, inputs = _load_data(args.data)
     settings = _settings(load_config(args.config), "detector",
                          DETECTOR_SCHEMA, args)
     settings.update(eval_from=args.eval_from, eval_to=args.eval_to)
     cfg = _detector(settings, M.channels)
-    _claim(out, "curves.csv", "alarms.jsonl",
-           *(f"snapshot_t{t}.json" for t in settings["snapshot_at"]))
-    report = run_rmt(M, cfg, snapshot_at=settings["snapshot_at"])
+    _claim(out, "curves.csv", "alarms.jsonl")
+    report = run_rmt(M, cfg)
 
     curves = zip(report.les_raw.times(), report.les_raw.values,
                  report.les_curve.values, report.msr_raw.values,
@@ -321,9 +299,6 @@ def cmd_detect_rmt(args, out: Path):
         _write_lines(out / "alarms.jsonl",
                      (json.dumps(dataclasses.asdict(a)) for a in report.alarms)),
     ]
-    for t, summary in sorted(report.spectral_snapshots.items()):
-        doc = json.dumps(_summary_doc(t, summary), indent=2)
-        outputs.append(_write_lines(out / f"snapshot_t{t}.json", [doc]))
     return settings, cfg.seed, inputs, outputs
 
 
@@ -377,7 +352,7 @@ def cmd_esd_check(args, out: Path):
             raise ConfigError(
                 f"config lists {len(choice)} snapshot times; pick one "
                 "with --snapshot-at T (or --snapshot-at all)")
-        choice = esd["snapshot_at"] = str(choice[0])
+        choice = str(choice[0])
 
     data = residual_matrix(M) if esd["use_residual"] else M
     if choice == "all":
@@ -388,12 +363,22 @@ def cmd_esd_check(args, out: Path):
         except ValueError as exc:
             raise ConfigError(f"bad --snapshot-at value {choice!r}") from exc
         width = window = cfg.window.width
+        esd["snapshot_at"] = str(t)  # "500" for 0500 and +500 too
     W = lift_window(data, cfg.lift, t, width)
     summary = summarize_window(W, seed=(esd["seed"], t))
 
     outputs = [
-        _write_lines(out / "summary.json", [json.dumps(
-            dict(_summary_doc(t, summary), window=window), indent=2)]),
+        _write_lines(out / "summary.json", [json.dumps({
+            "schema_version": SCHEMA_VERSION,
+            "t": t,
+            "dim": int(summary.covariance_eigs.size),
+            "c_ratio": summary.c_ratio,
+            "mp_support": [summary.mp_support[0], summary.mp_support[1]],
+            "ks_distance_mp": summary.ks_distance_mp,
+            "ring_inner": summary.ring_inner,
+            "ring_coverage": summary.ring_coverage,
+            "window": window,
+        }, indent=2)]),
         _write_lines(out / "histogram.csv", [
             "eigenvalue", *map(_fmt, summary.covariance_eigs)]),
         _write_lines(out / "ring_scatter.csv", ["re,im", *(
@@ -437,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="windowed spectral detector (LES and MSR curves)")
     common(p)
     window_flags(p)
-    p.add_argument("--snapshot-at", metavar="T,...", type=_times,
-                   help="comma-separated times for spectral snapshot JSONs")
     p.add_argument("--eval-from", type=int,
                    help="first time to evaluate; trimming keeps the raw "
                    "values but renormalizes the curves and recomputes the "

@@ -159,8 +159,9 @@ def residual_matrix(D: SpatioTemporalMatrix) -> SpatioTemporalMatrix:
 def load_matrix(path) -> SpatioTemporalMatrix:
     """Load a CSV measurement matrix.
 
-    Header row holds channel ids; each data row is one sampling instant.
-    An optional leading column named "t" carries integer sample indices;
+    Header row holds channel ids, after a UTF-8 byte order mark if the
+    file starts with one; each data row is one sampling instant.  An
+    optional leading column named "t" carries integer sample indices;
     its first value is t0, which must be >= 0, and each later one must be
     the previous one + 1.  Cells are C decimal floats, optionally in
     double quotes, and t is an int64; a file that breaks a rule raises
@@ -173,7 +174,7 @@ def load_matrix(path) -> SpatioTemporalMatrix:
     if not path.is_file():
         raise ConfigError(f"{path}: not a regular file")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             try:
                 header = [h.strip() for h in next(csv.reader(fh))]
             except StopIteration:
@@ -232,7 +233,7 @@ def _check_lines(path: Path, width: int, has_t: bool) -> str | None:
     Past those, return where the first cell that is not _c_text is, or
     None.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         samples = 0

@@ -12,7 +12,7 @@ _workers, which describes the fork protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -29,7 +29,7 @@ from .data_model import (
 from .errors import ConfigError, KronliftError, PreconditionError
 from .indicators import TestFunction, entropy, les, msr, normalize_curve
 from .lift import SCALE_MODES, LiftedMatrix, lift_matrix
-from .spectral import SpectralSummary, summarize_window, window_spectra
+from .spectral import window_spectra
 
 MAD_TO_SIGMA = 1.4826  # consistency factor for Gaussian data
 
@@ -99,7 +99,6 @@ class DetectionReport:
     les_raw: IndicatorSeries  # signed statistic values
     msr_raw: IndicatorSeries
     alarms: list[Alarm]
-    spectral_snapshots: dict[int, SpectralSummary] = field(default_factory=dict)
 
 
 def _window_ends(data, width: int) -> tuple[int, int]:
@@ -130,7 +129,7 @@ def lift_window(
 ) -> np.ndarray:
     """window_at of data's sqrt-dim lift, which the reference laws assume,
     lifting only the window's columns: a zero segment outside the window
-    does not stop it."""
+    does not stop it.  esd-check summarizes this window."""
     _check_end(data, t, width)
     return lift_matrix(data.columns(t - width + 1, t), lift,
                        scale_mode="sqrt-dim").values
@@ -191,11 +190,7 @@ def _evaluate_parallel(
     return out
 
 
-def run_rmt(
-    D: SpatioTemporalMatrix,
-    cfg: RmtDetectorConfig,
-    snapshot_at: tuple[int, ...] = (),
-) -> DetectionReport:
+def run_rmt(D: SpatioTemporalMatrix, cfg: RmtDetectorConfig) -> DetectionReport:
     """End-to-end windowed pipeline producing LES-t and MSR-t curves.
 
     Per-window randomness (the ring unitary) is keyed by (cfg.seed, t), so
@@ -219,9 +214,6 @@ def run_rmt(
     lifted = lift_matrix(data.columns(lo - width + 1, int(times[-1])),
                          cfg.lift, scale_mode=cfg.scale_mode)
     _check_baseline(cfg.deviation_rule, times.size)
-    # lift the snapshot windows first, so a bad one fails before any window runs
-    snap_windows = {int(t): lift_window(data, cfg.lift, int(t), width)
-                    for t in snapshot_at}
 
     les_vals, msr_vals = _evaluate_parallel(lifted, times, cfg)
 
@@ -235,13 +227,10 @@ def run_rmt(
     alarms += deviation_alarms(msr_norm, cfg.deviation_rule)
     alarms.sort(key=lambda a: (a.t, a.indicator))
 
-    snapshots = {t: summarize_window(W, seed=(cfg.seed, t))
-                 for t, W in snap_windows.items()}
     return DetectionReport(
         les_curve=les_norm,
         msr_curve=msr_norm,
         les_raw=les_raw,
         msr_raw=msr_raw,
         alarms=alarms,
-        spectral_snapshots=snapshots,
     )

@@ -530,8 +530,7 @@ def test_c9_cli_reruns_are_byte_identical(tmp_path):
     commands = {
         "synth": ["synth", "--config", str(cfg)],
         "detect-rmt": ["detect-rmt", data, "--config", str(cfg),
-                       "--eval-from", "35", "--eval-to", "45",
-                       "--snapshot-at", "40"],
+                       "--eval-from", "35", "--eval-to", "45"],
         "detect-sae": ["detect-sae", data, "--config", str(cfg)],
         "esd-check": ["esd-check", data, "--config", str(cfg)],
     }

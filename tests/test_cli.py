@@ -25,6 +25,7 @@ from kronlift.errors import (
     NumericalError,
     PreconditionError,
 )
+from kronlift.indicators import entropy, les, msr
 
 
 def sha256(path):
@@ -158,26 +159,13 @@ class TestDetectRmt:
         assert manifest["config"]["k"] == 2
         assert manifest["config"]["use_residual"] is False
 
-    def test_snapshot_files(self, small_data, tmp_path):
-        data, cfg = small_data
-        out = tmp_path / "rmt"
-        rc = main(["detect-rmt", data, "--config", cfg, "--out", str(out),
-                   "--eval-from", "35", "--eval-to", "45",
-                   "--snapshot-at", "40,41"])
-        assert rc == 0
-        for t in (40, 41):
-            doc = json.loads((out / f"snapshot_t{t}.json").read_text())
-            assert doc["t"] == t
-            assert doc["dim"] == 4
-            assert len(doc["mp_support"]) == 2
-            assert 0.0 <= doc["ks_distance_mp"] <= 1.0
-            assert 0.0 <= doc["ring_coverage"] <= 1.0
-
     @pytest.mark.parametrize("scale_mode", ["sqrt-dim", "unit-norm"])
     def test_snapshot_matches_esd_check(self, small_data, tmp_path,
                                         scale_mode):
-        """A snapshot is taken on the sqrt-dim scale the reference laws
-        assume, whatever scale the curves use, so it equals esd-check."""
+        """esd-check summarizes detect-rmt's window at t on the sqrt-dim
+        scale the reference laws assume, whatever scale the curves use:
+        its spectra give the curves' raw LES and MSR at t, and a unit-norm
+        LES is LES/dim + ln dim."""
         data, _ = small_data
         doc = dict(SMALL_SCENARIO, esd={"use_residual": True},
                    detector=dict(SMALL_SCENARIO["detector"], use_residual=True,
@@ -185,13 +173,32 @@ class TestDetectRmt:
         cfg = write_config(tmp_path, doc, name="scaled.json")
         rmt, esd = tmp_path / "rmt", tmp_path / "esd"
         assert main(["detect-rmt", data, "--config", cfg, "--out", str(rmt),
-                     "--eval-from", "35", "--eval-to", "45",
-                     "--snapshot-at", "40"]) == 0
+                     "--eval-from", "35", "--eval-to", "45"]) == 0
         assert main(["esd-check", data, "--config", cfg, "--out", str(esd),
                      "--snapshot-at", "40"]) == 0
-        summary = json.loads((esd / "summary.json").read_text())
-        del summary["window"]
-        assert json.loads((rmt / "snapshot_t40.json").read_text()) == summary
+        row = next(line.split(",") for line in
+                   (rmt / "curves.csv").read_text().splitlines()
+                   if line.startswith("40,"))
+        eigs = np.loadtxt(esd / "histogram.csv", skiprows=1)
+        ring = np.loadtxt(esd / "ring_scatter.csv", delimiter=",", skiprows=1)
+        les_t, msr_t = les(eigs, entropy()), msr(ring[:, 0] + 1j * ring[:, 1])
+        if scale_mode == "sqrt-dim":
+            assert (float(row[1]), float(row[3])) == (les_t, msr_t)
+        else:
+            assert float(row[1]) == pytest.approx(les_t / 4 + np.log(4),
+                                                  rel=1e-12)
+            assert float(row[3]) == pytest.approx(msr_t, rel=1e-12)
+
+    def test_snapshot_flag_is_esd_check_s(self, small_data, tmp_path, capsys):
+        """One window's summary is esd-check's; detect-rmt takes no
+        --snapshot-at."""
+        data, cfg = small_data
+        with pytest.raises(SystemExit) as exc:
+            main(["detect-rmt", data, "--config", cfg,
+                  "--out", str(tmp_path / "o"), "--snapshot-at", "40"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --snapshot-at 40" in \
+            capsys.readouterr().err
 
     def test_oversized_window_exits_3(self, small_data, tmp_path, capsys):
         data, cfg = small_data
@@ -210,8 +217,7 @@ class TestDetectRmt:
     def test_rerun_identical_digests(self, small_data, tmp_path):
         data, cfg = small_data
         args = ["detect-rmt", data, "--config", cfg,
-                "--eval-from", "35", "--eval-to", "40",
-                "--snapshot-at", "38"]
+                "--eval-from", "35", "--eval-to", "40"]
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
@@ -581,7 +587,8 @@ MALFORMED = [
      "detector.alarms_enabled"),
     ("detect-rmt", with_section("detector", window_width="thirty"),
      "detector.window_width"),
-    ("detect-rmt", with_section("detector", snapshot_at=5),
+    # an esd key only: one window's summary is esd-check's
+    ("detect-rmt", with_section("detector", snapshot_at=[40]),
      "detector.snapshot_at"),
     ("detect-sae", with_section("sae", train_span=[1, "b"]),
      "sae.train_span"),
@@ -643,6 +650,8 @@ DETECTOR_REJECTED = [
      "scale_mode must be one of ('unit-norm', 'sqrt-dim')"),
     (with_section("detector", baseline_span=1),
      "detector.baseline_span must be >= 2, got 1"),
+    (with_section("detector", snapshot_at=[40]),
+     "unknown config keys: detector.snapshot_at"),
 ]
 
 
@@ -792,7 +801,6 @@ def test_non_regular_input_exits_2(small_data, tmp_path, source):
 
 @pytest.mark.parametrize("command,name,work", [
     ("detect-rmt", "curves.csv", "run_rmt"),
-    ("detect-rmt", "snapshot_t40.json", "run_rmt"),
     ("detect-rmt", "manifest.json", "run_rmt"),
     ("detect-sae", "loss_trace.csv", "run_sae_detailed"),
     ("esd-check", "ring_scatter.csv", "summarize_window"),
@@ -806,9 +814,8 @@ def test_taken_output_name_exits_2_before_any_work(
     data, cfg = small_data
     out = tmp_path / "o"
     (out / name).mkdir(parents=True)
-    snapshots = ["--snapshot-at", "40"] if command == "detect-rmt" else []
     capsys.readouterr()
-    rc = main([command, data, *snapshots, "--config", cfg, "--out", str(out)])
+    rc = main([command, data, "--config", cfg, "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
         f"kronlift {command}: cannot write {out / name}: Is a directory\n")
@@ -837,14 +844,14 @@ MANIFEST_CONFIGS = [
         "test_function": "entropy", "use_residual": False,
         "scale_mode": "sqrt-dim", "baseline_span": 5,
         "threshold_sigmas": 5.0, "alarms_enabled": True, "seed": 0,
-        "eval_from": 35, "eval_to": 45, "snapshot_at": []}),
+        "eval_from": 35, "eval_to": 45}),
     (["detect-rmt", "DATA", "--eval-from", "35", "--eval-to", "45",
-      "--k", "1", "--window", "20", "--seed", "5", "--snapshot-at", "40"], {
+      "--k", "1", "--window", "20", "--seed", "5"], {
         "k": 1, "n": 4, "window_width": 20, "stride": 1,
         "test_function": "entropy", "use_residual": False,
         "scale_mode": "sqrt-dim", "baseline_span": 5,
         "threshold_sigmas": 5.0, "alarms_enabled": True, "seed": 5,
-        "eval_from": 35, "eval_to": 45, "snapshot_at": [40]}),
+        "eval_from": 35, "eval_to": 45}),
     (["detect-sae", "DATA"], {
         "k": 2, "n": 2, "learning_rate": 0.001, "max_iterations": 40,
         "train_span": [1, 30], "seed": 0}),
@@ -855,6 +862,13 @@ MANIFEST_CONFIGS = [
       "--snapshot-at", "all"], {
         "k": 1, "n": 4, "window": "all", "use_residual": False, "seed": 7,
         "snapshot_at": "all"}),
+    # the time the window ends at, not the text that named it
+    (["esd-check", "DATA", "--snapshot-at", "040"], {
+        "k": 2, "n": 2, "window": 30, "use_residual": False, "seed": 0,
+        "snapshot_at": "40"}),
+    (["esd-check", "DATA", "--snapshot-at", "+40"], {
+        "k": 2, "n": 2, "window": 30, "use_residual": False, "seed": 0,
+        "snapshot_at": "40"}),
 ]
 
 

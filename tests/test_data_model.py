@@ -202,11 +202,14 @@ class TestCsvRoundTrip:
         ('"c\n1",c2\n1,2\n1,2,3\n', "line 4 has 3 fields, expected 2"),
         ('t,c1,c2\r\n1,"2\r\n\r\n",3\r\n3,4,5\r\n',
          "line 5: time index 3 does not follow 1"),
+        ("\ufefft,c1,c2\n5,1,2\n7,3,4\n",
+         "line 3: time index 7 does not follow 5"),
     ], ids=["whitespace-only line", "trailing comma", "line break in a cell",
-            "line break in the header", "CRLF breaks in a cell"])
+            "line break in the header", "CRLF breaks in a cell",
+            "byte order mark"])
     def test_ragged_layouts_report_line(self, tmp_path, text, message):
         p = tmp_path / "d.csv"
-        p.write_text(text, newline="")
+        p.write_text(text, newline="", encoding="utf-8")
         with pytest.raises(ConfigError) as info:
             load_matrix(p)
         assert str(info.value) == f"{p}: {message}"
@@ -217,11 +220,12 @@ class TestCsvRoundTrip:
         "t,c1,c2\r5,1,2\r6,3,4",
         't,"c1",c2\n"5","1",2\n6,3,"4"\n',
         "t , c1,c2 \n 5 ,1 , 2\n6,3,4\n",
+        "\ufefft,c1,c2\n5,1,2\n6,3,4\n",  # as spreadsheets save UTF-8
     ], ids=["blank line", "CRLF", "CR without final newline",
-            "quoted cells", "padded cells"])
+            "quoted cells", "padded cells", "byte order mark"])
     def test_layout_variants_read_the_same_values(self, tmp_path, text):
         p = tmp_path / "d.csv"
-        p.write_text(text, newline="")
+        p.write_text(text, newline="", encoding="utf-8")
         m = load_matrix(p)
         assert (m.t0, m.channel_ids) == (5, ["c1", "c2"])
         np.testing.assert_array_equal(m.values, [[1.0, 3.0], [2.0, 4.0]])

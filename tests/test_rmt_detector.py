@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from kronlift import _workers, rmt_detector, spectral
-from kronlift.data_model import LiftConfig, SpatioTemporalMatrix, WindowSpec
+from kronlift.data_model import (
+    LiftConfig,
+    SpatioTemporalMatrix,
+    WindowSpec,
+    residual_matrix,
+)
 from kronlift.errors import ConfigError, NumericalError, PreconditionError
-from kronlift.indicators import msr
+from kronlift.indicators import les, msr
 from kronlift.lift import lift_matrix
 from kronlift.rmt_detector import (
     DeviationRule,
@@ -19,6 +24,7 @@ from kronlift.rmt_detector import (
     run_rmt,
     window_at,
 )
+from kronlift.spectral import summarize_window
 from kronlift.synth import generate, scenario_from_dict
 
 
@@ -134,14 +140,10 @@ class TestZeroSegments:
                             deviation_rule=DeviationRule(enabled=False), **kw)
 
     def test_outside_the_evaluated_windows(self):
-        clean = run_rmt(white_stm(6, 60, seed=12), self.config(eval_to=49),
-                        snapshot_at=(30,))
-        rep = run_rmt(self.record(), self.config(eval_to=49), snapshot_at=(30,))
+        clean = run_rmt(white_stm(6, 60, seed=12), self.config(eval_to=49))
+        rep = run_rmt(self.record(), self.config(eval_to=49))
         np.testing.assert_array_equal(rep.les_raw.values, clean.les_raw.values)
         np.testing.assert_array_equal(rep.msr_raw.values, clean.msr_raw.values)
-        a, b = rep.spectral_snapshots[30], clean.spectral_snapshots[30]
-        np.testing.assert_array_equal(a.covariance_eigs, b.covariance_eigs)
-        np.testing.assert_array_equal(a.ring_eigs, b.ring_eigs)
 
     def test_in_an_evaluated_window(self):
         with pytest.raises(PreconditionError,
@@ -153,15 +155,6 @@ class TestZeroSegments:
         rep = run_rmt(self.record(),
                       self.config(window=WindowSpec(width=12, stride=18)))
         assert list(rep.les_raw.times()) == [12, 30, 48]
-
-    def test_in_a_snapshot_window_before_any_window_runs(self, monkeypatch):
-        def kernel(*a, **kw):
-            raise AssertionError("window kernel called")
-
-        monkeypatch.setattr(rmt_detector, "window_spectra", kernel)
-        with pytest.raises(PreconditionError,
-                           match=r"^zero segment 2 at t=50$"):
-            run_rmt(self.record(), self.config(eval_to=40), snapshot_at=(55,))
 
 
 class TestRunRmtStructure:
@@ -276,43 +269,38 @@ class TestRunRmtStructure:
 
 
 class TestSnapshots:
-    def test_requested_instants_only(self):
-        D = white_stm(6, 60, seed=10)
-        rep = run_rmt(D, small_config(), snapshot_at=(20, 40))
-        assert sorted(rep.spectral_snapshots) == [20, 40]
-        snap = rep.spectral_snapshots[20]
-        assert snap.covariance_eigs.shape == (9,)
+    """esd-check --snapshot-at T summarizes lift_window(data, lift, T,
+    width) with seed (seed, T): the window the detector evaluates at T."""
 
-    def test_default_no_snapshots(self):
-        D = white_stm(6, 60, seed=10)
-        rep = run_rmt(D, small_config())
-        assert rep.spectral_snapshots == {}
+    CASES = {
+        "k1": (6, LiftConfig(k=1, n=6), 12),
+        "k2": (6, LiftConfig(k=2, n=3), 12),
+        # 64 dims against 30 columns: the ring half runs in a child
+        "k3": (12, LiftConfig(k=3, n=4), 30),
+    }
 
-    def test_snapshot_consistent_with_msr_curve(self):
-        D = white_stm(6, 60, seed=11)
-        rep = run_rmt(D, small_config(), snapshot_at=(30,))
-        j = 30 - rep.msr_curve.start_index
-        assert msr(rep.spectral_snapshots[30].ring_eigs) == pytest.approx(
-            rep.msr_raw.values[j], rel=1e-12
-        )
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_snapshot_is_the_detector_window(self, workers, case):
+        channels, lift, width = self.CASES[case]
+        D = white_stm(channels, 60, seed=11)
+        cfg = small_config(lift=lift, window=WindowSpec(width=width),
+                           deviation_rule=DeviationRule(enabled=False))
+        workers(2)
+        rep = run_rmt(D, cfg)
+        data = residual_matrix(D)
+        for t in (width + 1, 45, 60):
+            s = summarize_window(lift_window(data, lift, t, width),
+                                 seed=(cfg.seed, t))
+            j = t - rep.les_raw.start_index
+            assert les(s.covariance_eigs, cfg.test_function) == \
+                rep.les_raw.values[j]
+            assert msr(s.ring_eigs) == rep.msr_raw.values[j]
 
     def test_snapshot_outside_range_rejected(self):
         D = white_stm(6, 60, seed=11)
         with pytest.raises(PreconditionError,
                            match=r"window ending at t=5 needs t in \[13, 60\]"):
-            run_rmt(D, small_config(), snapshot_at=(5,))
-
-    def test_snapshot_checked_before_any_window(self, monkeypatch):
-        def kernel(*a, **kw):
-            raise AssertionError("window kernel called")
-
-        monkeypatch.setattr(rmt_detector, "window_spectra", kernel)
-        D = white_stm(6, 60, seed=11)
-        with pytest.raises(
-            PreconditionError,
-            match=r"^window ending at t=5 needs t in \[13, 60\]$",
-        ):
-            run_rmt(D, small_config(), snapshot_at=(20, 5))
+            lift_window(residual_matrix(D), LiftConfig(k=2, n=3), 5, 12)
 
 
 class TestDetection:
@@ -386,6 +374,44 @@ class TestDetection:
         assert hits / total <= 0.02
 
 
+@pytest.fixture(scope="module")
+def case_a():
+    doc = json.loads(resources.files("kronlift").joinpath(
+        "scenarios", "case_a_step.json").read_text(encoding="utf-8"))
+    return generate(scenario_from_dict(doc["scenario"]))
+
+
+class TestScaleModes:
+    """A unit-norm lifted column is the sqrt-dim one over sqrt(dim), and a
+    sqrt-dim window's covariance has trace dim: so LES_unit = LES_sqrt/dim
+    + ln dim for the entropy, MSR is scale-free, and the deviation rule
+    ignores an increasing affine map of a curve."""
+
+    def test_unit_norm_is_an_affine_map_of_sqrt_dim(self, case_a):
+        # Differenced windows only: on case_a's undifferenced k=2 windows
+        # the unit-norm LES (about 1.3e-3) is a sum of terms near ln 196,
+        # and the map holds to only about 1e-4 relative.
+        reports = {}
+        for mode in ("sqrt-dim", "unit-norm"):
+            reports[mode] = run_rmt(case_a, RmtDetectorConfig(
+                lift=LiftConfig(k=2, n=14), window=WindowSpec(width=200),
+                use_residual=True, scale_mode=mode,
+                # 3 sigmas, so the alarms compared are not an empty list
+                deviation_rule=DeviationRule(threshold_sigmas=3.0),
+                eval_from=201, eval_to=560))
+        sqrt, unit = reports["sqrt-dim"], reports["unit-norm"]
+        dim = 196
+        np.testing.assert_allclose(unit.les_raw.values,
+                                   sqrt.les_raw.values / dim + np.log(dim),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(unit.msr_raw.values, sqrt.msr_raw.values,
+                                   rtol=1e-12)
+        pairs = [[(a.t, a.indicator) for a in rep.alarms]
+                 for rep in (sqrt, unit)]
+        assert {i for _, i in pairs[0]} == {"LES", "MSR"}
+        assert pairs[1] == pairs[0]
+
+
 def _raw(rep):
     return rep.les_raw.values.tobytes(), rep.msr_raw.values.tobytes()
 
@@ -428,12 +454,6 @@ class TestParallelWindows:
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         assert _workers.worker_count() == expected
-
-    @pytest.fixture(scope="class")
-    def case_a(self):
-        doc = json.loads(resources.files("kronlift").joinpath(
-            "scenarios", "case_a_step.json").read_text(encoding="utf-8"))
-        return generate(scenario_from_dict(doc["scenario"]))
 
     @pytest.mark.parametrize("k,n", [(1, 28), (2, 14)])
     def test_case_a_slice_bit_identical(self, case_a, workers, k, n):

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from kronlift import spectral
-from kronlift.data_model import LiftConfig, SpatioTemporalMatrix, WindowSpec
+from kronlift.data_model import (
+    LiftConfig,
+    SpatioTemporalMatrix,
+    residual_matrix,
+)
 from kronlift.errors import ConfigError, NumericalError, PreconditionError
 from kronlift.lift import lift_matrix
-from kronlift.rmt_detector import (
-    DeviationRule,
-    RmtDetectorConfig,
-    run_rmt,
-    window_at,
-)
+from kronlift.rmt_detector import lift_window, window_at
 from kronlift.spectral import (
     covariance_eigenvalues,
     esd_ks_distance,
@@ -537,10 +536,10 @@ class TestConcurrentHalves:
         return np.random.default_rng(seed).standard_normal((196, 100))
 
     @staticmethod
-    def outcome(workers, n, W):
+    def outcome(workers, n, W, seed=(5, 500)):
         workers(n)
         try:
-            return _summary_bytes(summarize_window(W, seed=(5, 500)))
+            return _summary_bytes(summarize_window(W, seed=seed))
         except Exception as exc:
             return type(exc), str(exc)
         finally:
@@ -553,23 +552,20 @@ class TestConcurrentHalves:
         assert self.outcome(workers, 2, W) == serial
         assert forks == [os.getpid()]
 
-    def test_snapshots_do_not_depend_on_workers(self, workers):
+    def test_snapshots_do_not_depend_on_workers(self, workers, forks):
+        """esd-check's lifted windows, as well as a random one."""
         # 8 channels at k=2, n=4 lift to 16 dims against 12 columns
         rng = np.random.default_rng(32)
         D = SpatioTemporalMatrix(values=1.0 + 1e-3 * rng.standard_normal((8, 60)),
                                  channel_ids=[f"c{i}" for i in range(8)], t0=1)
-        cfg = RmtDetectorConfig(lift=LiftConfig(k=2, n=4),
-                                window=WindowSpec(width=12),
-                                deviation_rule=DeviationRule(enabled=False))
-        reports = []
-        for n in (1, 2):
-            workers(n)
-            rep = run_rmt(D, cfg, snapshot_at=(40, 41))
-            reports.append({t: _summary_bytes(s)
-                            for t, s in rep.spectral_snapshots.items()})
-            _no_children_left()
-        assert reports[0][40][0] != reports[0][41][0]
-        assert reports[1] == reports[0]
+        R = residual_matrix(D)
+        windows = {t: lift_window(R, LiftConfig(k=2, n=4), t, 12)
+                   for t in (40, 41)}
+        summaries = [{t: self.outcome(workers, n, W, seed=(0, t))
+                      for t, W in windows.items()} for n in (1, 2)]
+        assert summaries[0][40][0] != summaries[0][41][0]
+        assert summaries[1] == summaries[0]
+        assert len(forks) == 2
 
     def test_covariance_failure_raises_serial_error(self, monkeypatch, workers,
                                                     forks):

@@ -3,21 +3,20 @@
     python3 tools/output_digests.py WORKDIR
 
 Runs `kronlift.cli.main` in-process, from the `src/` of the checkout this
-file sits in, on both packaged scenarios: `synth`; `detect-rmt --k 1
---snapshot-at 500,501`; `esd-check --snapshot-at 500` and `--snapshot-at
-all`; `detect-sae` training and `--checkpoint` scoring of its model; and,
-on case_a_step only, `detect-rmt` at k=2 over [201, 510] with the same
-snapshots; `esd-check --window 196 --snapshot-at 500`, whose 196 dims
-against 196 columns put the Marchenko-Pastur law at ratio c = 1;
-`esd-check --window 100 --snapshot-at 500`, whose 196 dims against 100
-columns give a rank-deficient covariance and a ring on the transposed
-window; `detect-rmt --k 1 --snapshot-at 500,501` under a copy of its
-config with detector `"use_residual": true`, whose differenced windows
-tell one snapshot from another where the undifferenced k=1 ones all read
-the same KS distance; and the same run with `"scale_mode": "unit-norm"`
-as well, whose snapshot windows are still lifted on the sqrt-dim scale
-the reference laws assume (on the differenced data the snapshots' KS
-distance reads that scale).  The two configs are written under
+file sits in, on both packaged scenarios: `synth`; `detect-rmt --k 1`;
+`esd-check --snapshot-at 500` and `--snapshot-at all`; `detect-sae`
+training and `--checkpoint` scoring of its model; and, on case_a_step
+only, `detect-rmt` at k=2 over [201, 510]; `esd-check --window 196
+--snapshot-at 500`, whose 196 dims against 196 columns put the
+Marchenko-Pastur law at ratio c = 1; `esd-check --window 100
+--snapshot-at 500`, whose 196 dims against 100 columns give a
+rank-deficient covariance and a ring on the transposed window;
+`esd-check --k 1 --snapshot-at 500` and `501`, whose differenced k=1
+windows (the esd section differences) tell one time from another where
+the undifferenced ones all read the same KS distance; `detect-rmt --k 1`
+under a copy of its config with detector `"use_residual": true`; and the
+same run with `"scale_mode": "unit-norm"` as well, whose curves are an
+affine map of the sqrt-dim ones.  The two configs are written under
 WORKDIR/errors with the failing commands' inputs.  Then it
 prints one `relative-path sha256` line per file under WORKDIR (best
 empty or new), sorted.  A manifest is digested without its
@@ -96,15 +95,14 @@ def commands(work: Path):
         data = str(d / "synth" / "data.csv")
         run = ["--config", name, "--out"]
         yield ["synth", *run, str(d / "synth")]
-        yield ["detect-rmt", data, "--k", "1", "--snapshot-at", "500,501",
-               *run, str(d / "rmt_k1")]
+        yield ["detect-rmt", data, "--k", "1", *run, str(d / "rmt_k1")]
         yield ["esd-check", data, "--snapshot-at", "500", *run, str(d / "esd_500")]
         yield ["esd-check", data, "--snapshot-at", "all", *run, str(d / "esd_all")]
         yield ["detect-sae", data, *run, str(d / "sae")]
         yield ["detect-sae", data, "--checkpoint", str(d / "sae" / "model.json"),
                *run, str(d / "sae_checkpoint")]
     yield ["detect-rmt", str(work / "case_a_step" / "synth" / "data.csv"),
-           "--eval-from", "201", "--eval-to", "510", "--snapshot-at", "500,501",
+           "--eval-from", "201", "--eval-to", "510",
            "--config", "case_a_step",
            "--out", str(work / "case_a_step" / "rmt_k2")]
     for width, label in (("196", "esd_c1"), ("100", "esd_w100")):
@@ -112,9 +110,13 @@ def commands(work: Path):
                "--window", width, "--snapshot-at", "500",
                "--config", "case_a_step",
                "--out", str(work / "case_a_step" / label)]
+    for t in ("500", "501"):
+        yield ["esd-check", str(work / "case_a_step" / "synth" / "data.csv"),
+               "--k", "1", "--snapshot-at", t, "--config", "case_a_step",
+               "--out", str(work / "case_a_step" / f"esd_k1_{t}")]
     for label, config in differenced.items():
         yield ["detect-rmt", str(work / "case_a_step" / "synth" / "data.csv"),
-               "--k", "1", "--snapshot-at", "500,501", "--config", str(config),
+               "--k", "1", "--config", str(config),
                "--out", str(work / "case_a_step" / f"rmt_k1_{label}")]
 
 
