@@ -187,9 +187,7 @@ SAE_SCHEMA = {
     "train_span": (_train_span, (1, 200)),
     "seed": (non_negative, TrainConfig.seed),
 }
-ESD_SCHEMA = {"use_residual": DETECTOR_SCHEMA["use_residual"],
-              "seed": DETECTOR_SCHEMA["seed"],
-              "snapshot_at": (list_of(integer), ())}
+ESD_SCHEMA = {"use_residual": DETECTOR_SCHEMA["use_residual"]}
 
 
 def _settings(doc: dict, name: str, schema: dict, args) -> dict:
@@ -346,26 +344,10 @@ def cmd_esd_check(args, out: Path):
     cfg = _detector(_settings(doc, "detector", DETECTOR_SCHEMA, args),
                     M.channels)
     esd = _settings(doc, "esd", ESD_SCHEMA, args)
-    choice = esd["snapshot_at"]
-    if not isinstance(choice, str):  # the config's list, not the flag
-        if len(choice) != 1:
-            raise ConfigError(
-                f"config lists {len(choice)} snapshot times; pick one "
-                "with --snapshot-at T (or --snapshot-at all)")
-        choice = str(choice[0])
-
+    t, width = args.snapshot_at, cfg.window.width
     data = residual_matrix(M) if esd["use_residual"] else M
-    if choice == "all":
-        t, width, window = data.t0 + data.samples - 1, data.samples, "all"
-    else:
-        try:
-            t = int(choice)
-        except ValueError as exc:
-            raise ConfigError(f"bad --snapshot-at value {choice!r}") from exc
-        width = window = cfg.window.width
-        esd["snapshot_at"] = str(t)  # "500" for 0500 and +500 too
-    W = lift_window(data, cfg.lift, t, width)
-    summary = summarize_window(W, seed=(esd["seed"], t))
+    summary = summarize_window(lift_window(data, cfg.lift, t, width),
+                               seed=(cfg.seed, t))
 
     outputs = [
         _write_lines(out / "summary.json", [json.dumps({
@@ -377,15 +359,16 @@ def cmd_esd_check(args, out: Path):
             "ks_distance_mp": summary.ks_distance_mp,
             "ring_inner": summary.ring_inner,
             "ring_coverage": summary.ring_coverage,
-            "window": window,
+            "window": width,
         }, indent=2)]),
         _write_lines(out / "histogram.csv", [
             "eigenvalue", *map(_fmt, summary.covariance_eigs)]),
         _write_lines(out / "ring_scatter.csv", ["re,im", *(
             f"{_fmt(z.real)},{_fmt(z.imag)}" for z in summary.ring_eigs)]),
     ]
-    config = {"k": cfg.lift.k, "n": cfg.lift.n, "window": window, **esd}
-    return config, esd["seed"], inputs, outputs
+    config = {"k": cfg.lift.k, "n": cfg.lift.n, "window": width, **esd,
+              "seed": cfg.seed, "snapshot_at": t}
+    return config, cfg.seed, inputs, outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one-window spectrum vs the reference laws")
     common(p)
     window_flags(p)
-    p.add_argument("--snapshot-at", metavar="T|all",
-                   help="window end time, or 'all' for the whole record")
+    p.add_argument("--snapshot-at", type=int, required=True, metavar="T",
+                   help="time the window ends at")
     p.set_defaults(func=cmd_esd_check)
     return parser
 

@@ -517,7 +517,7 @@ def test_c9_cli_reruns_are_byte_identical(tmp_path):
                      "use_residual": False, "baseline_span": 5, "seed": 0},
         "sae": {"k": 2, "n": 2, "learning_rate": 0.001,
                 "max_iterations": 40, "train_span": [1, 30], "seed": 0},
-        "esd": {"use_residual": False, "snapshot_at": [40]},
+        "esd": {"use_residual": False},
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(cfg_doc), encoding="utf-8")
@@ -532,7 +532,8 @@ def test_c9_cli_reruns_are_byte_identical(tmp_path):
         "detect-rmt": ["detect-rmt", data, "--config", str(cfg),
                        "--eval-from", "35", "--eval-to", "45"],
         "detect-sae": ["detect-sae", data, "--config", str(cfg)],
-        "esd-check": ["esd-check", data, "--config", str(cfg)],
+        "esd-check": ["esd-check", data, "--config", str(cfg),
+                      "--snapshot-at", "40"],
     }
     for name, argv in commands.items():
         digests = []

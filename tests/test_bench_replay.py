@@ -103,3 +103,13 @@ def test_traced_replay_reproduces_cli_outputs(tmp_path, case):
                 for p in checks.same_outputs(cli_round / name,
                                              traced_round / name)]
     assert problems == []
+    # esd-check's settings too, key for key and in order; the replayed
+    # detect-rmt and detect-sae manifests still record other settings
+    if w.kind == "rmt":
+        assert _config(traced_round / "esd_t40") == \
+            _config(cli_round / "esd_t40")
+
+
+def _config(out: Path) -> list:
+    doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return list(doc["config"].items())

@@ -17,8 +17,19 @@ import numpy as np
 import pytest
 
 import kronlift
-from kronlift.cli import main
-from kronlift.data_model import SpatioTemporalMatrix, load_matrix, save_matrix
+from kronlift.cli import (
+    DETECTOR_SCHEMA,
+    ESD_SCHEMA,
+    SAE_SCHEMA,
+    load_config,
+    main,
+)
+from kronlift.data_model import (
+    SpatioTemporalMatrix,
+    load_matrix,
+    read_section,
+    save_matrix,
+)
 from kronlift.errors import (
     ConfigError,
     KronliftError,
@@ -26,6 +37,7 @@ from kronlift.errors import (
     PreconditionError,
 )
 from kronlift.indicators import entropy, les, msr
+from kronlift.synth import scenario_from_dict
 
 
 def sha256(path):
@@ -36,6 +48,15 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def command_argv(command, data):
+    """command with its data argument, and esd-check's window end t=40."""
+    if command == "synth":
+        return [command]
+    if command == "esd-check":
+        return [command, data, "--snapshot-at", "40"]
+    return [command, data]
 
 
 SMALL_SCENARIO = {
@@ -63,7 +84,7 @@ SMALL_SCENARIO = {
         "train_span": [1, 30],
         "seed": 0,
     },
-    "esd": {"use_residual": False, "snapshot_at": [40]},
+    "esd": {"use_residual": False},
 }
 
 
@@ -165,11 +186,11 @@ class TestDetectRmt:
         """esd-check summarizes detect-rmt's window at t on the sqrt-dim
         scale the reference laws assume, whatever scale the curves use:
         its spectra give the curves' raw LES and MSR at t, and a unit-norm
-        LES is LES/dim + ln dim."""
+        LES is LES/dim + ln dim.  Both key the ring by detector.seed."""
         data, _ = small_data
         doc = dict(SMALL_SCENARIO, esd={"use_residual": True},
                    detector=dict(SMALL_SCENARIO["detector"], use_residual=True,
-                                 scale_mode=scale_mode))
+                                 scale_mode=scale_mode, seed=5))
         cfg = write_config(tmp_path, doc, name="scaled.json")
         rmt, esd = tmp_path / "rmt", tmp_path / "esd"
         assert main(["detect-rmt", data, "--config", cfg, "--out", str(rmt),
@@ -417,11 +438,13 @@ class TestEsdCheck:
     def test_summary_and_plot_data(self, small_data, tmp_path):
         data, cfg = small_data
         out = tmp_path / "esd"
-        rc = main(["esd-check", data, "--config", cfg, "--out", str(out)])
+        rc = main(["esd-check", data, "--config", cfg, "--out", str(out),
+                   "--snapshot-at", "40"])
         assert rc == 0
         doc = json.loads((out / "summary.json").read_text())
         assert doc["t"] == 40
         assert doc["dim"] == 4
+        assert doc["window"] == 30
         assert set(doc) >= {"c_ratio", "mp_support", "ks_distance_mp",
                             "ring_inner", "ring_coverage"}
         hist = (out / "histogram.csv").read_text().splitlines()
@@ -431,25 +454,24 @@ class TestEsdCheck:
         assert scatter[0] == "re,im"
         assert len(scatter) == 1 + 4
 
-    def test_all_data_window(self, small_data, tmp_path):
+    @pytest.mark.parametrize("at,message", [
+        (["--snapshot-at", "all"],
+         "argument --snapshot-at: invalid int value: 'all'"),
+        ([], "the following arguments are required: --snapshot-at"),
+    ], ids=["all", "missing"])
+    def test_window_end_is_one_integer(self, small_data, tmp_path, capsys,
+                                       at, message):
+        """--snapshot-at T alone names the window; argparse rejects 'all'
+        and a missing flag before any work."""
         data, cfg = small_data
-        out = tmp_path / "esd_all"
-        rc = main(["esd-check", data, "--config", cfg, "--out", str(out),
-                   "--snapshot-at", "all"])
-        assert rc == 0
-        doc = json.loads((out / "summary.json").read_text())
-        assert doc["window"] == "all"
-        assert doc["t"] == 60
-
-    def test_ambiguous_config_times_exit_2(self, small_data, tmp_path, capsys):
-        data, _ = small_data
-        doc = dict(SMALL_SCENARIO, esd={"use_residual": False,
-                                        "snapshot_at": [30, 40]})
-        cfg = write_config(tmp_path, doc, name="ambig.json")
-        rc = main(["esd-check", data, "--config", cfg,
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "--snapshot-at" in capsys.readouterr().err
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["esd-check", data, "--config", cfg,
+                  "--out", str(tmp_path / "o"), *at])
+        assert exc.value.code == 2
+        assert f"kronlift esd-check: error: {message}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_oversized_window_exits_3(self, small_data, tmp_path, capsys):
         data, cfg = small_data
@@ -463,8 +485,9 @@ class TestEsdCheck:
     def test_determinism(self, small_data, tmp_path):
         data, cfg = small_data
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["esd-check", data, "--config", cfg, "--out", str(out1)])
-        main(["esd-check", data, "--config", cfg, "--out", str(out2)])
+        for out in (out1, out2):
+            assert main(["esd-check", data, "--config", cfg, "--out", str(out),
+                         "--snapshot-at", "40"]) == 0
         assert (out1 / "summary.json").read_bytes() == \
             (out2 / "summary.json").read_bytes()
         assert (out1 / "ring_scatter.csv").read_bytes() == \
@@ -546,7 +569,7 @@ class TestExitCodeMatrix:
     def test_all_four_codes(self, small_data, tmp_path, monkeypatch, capsys):
         data, cfg = small_data
         assert main(["esd-check", data, "--config", cfg,
-                     "--out", str(tmp_path / "ok")]) == 0
+                     "--out", str(tmp_path / "ok"), "--snapshot-at", "40"]) == 0
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2")
         assert main(["synth", "--config", str(bad),
@@ -581,13 +604,16 @@ MALFORMED = [
      "detector.window_widht"),
     ("detect-sae", with_section("sae", learnig_rate=0.5), "sae.learnig_rate"),
     ("esd-check", with_section("esd", sede=7), "esd.sede"),
+    # the ring follows detector.seed, the window end --snapshot-at
+    ("esd-check", with_section("esd", seed=0), "esd.seed"),
+    ("esd-check", with_section("esd", snapshot_at=[40]), "esd.snapshot_at"),
     ("detect-rmt", with_section("detector", use_residual="no"),
      "detector.use_residual"),
     ("detect-rmt", with_section("detector", alarms_enabled=0),
      "detector.alarms_enabled"),
     ("detect-rmt", with_section("detector", window_width="thirty"),
      "detector.window_width"),
-    # an esd key only: one window's summary is esd-check's
+    # one window's summary is esd-check's, named by --snapshot-at
     ("detect-rmt", with_section("detector", snapshot_at=[40]),
      "detector.snapshot_at"),
     ("detect-sae", with_section("sae", train_span=[1, "b"]),
@@ -608,10 +634,8 @@ MALFORMED = [
     ("detect-rmt", with_section("detector", seed=-1),
      "detector.seed: bad value -1"),
     ("detect-sae", with_section("sae", seed=-1), "sae.seed: bad value -1"),
-    ("esd-check", with_section("esd", seed=-1), "esd.seed: bad value -1"),
     ("synth", with_section("scenario", noise={"snr": float("inf")}),
      "scenario.noise.snr: bad value inf"),
-    ("esd-check", with_section("esd", seed="s"), "esd.seed"),
     ("esd-check", with_section("esd", use_residual=1), "esd.use_residual"),
     ("synth", with_section("scenario", channels="x"), "scenario.channels"),
     ("synth", with_section("scenario", anomalies=[
@@ -628,7 +652,7 @@ def test_malformed_config_exits_2(small_data, tmp_path, capsys,
                                   command, doc, where):
     data, _ = small_data
     cfg = write_config(tmp_path, doc, name="malformed.json")
-    argv = [command] + ([] if command == "synth" else [data])
+    argv = command_argv(command, data)
     capsys.readouterr()
     rc = main(argv + ["--config", cfg, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -665,8 +689,8 @@ def test_detector_section_checked_alike(small_data, tmp_path, capsys, doc,
     cfg = write_config(tmp_path, doc, name="detector.json")
     for command in ("detect-rmt", "esd-check"):
         capsys.readouterr()
-        rc = main([command, data, "--config", cfg,
-                   "--out", str(tmp_path / command)])
+        rc = main(command_argv(command, data) + [
+            "--config", cfg, "--out", str(tmp_path / command)])
         assert rc == 2
         assert capsys.readouterr().err == f"kronlift {command}: {message}\n"
 
@@ -676,7 +700,7 @@ def test_detector_section_checked_alike(small_data, tmp_path, capsys, doc,
 def test_negative_seed_flag_exits_2(small_data, tmp_path, capsys, command):
     """argparse rejects the flag before the command runs, with its usage."""
     data, cfg = small_data
-    argv = [command] + ([] if command == "synth" else [data])
+    argv = command_argv(command, data)
     capsys.readouterr()
     with pytest.raises(SystemExit) as info:
         main(argv + ["--config", cfg, "--out", str(tmp_path / "o"),
@@ -700,7 +724,7 @@ def test_out_naming_a_file_exits_2_before_any_work(small_data, tmp_path,
     data, cfg = small_data
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory")
-    argv = [command] + ([] if command == "synth" else [data])
+    argv = command_argv(command, data)
     capsys.readouterr()
     rc = main(argv + ["--config", cfg, "--out", str(blocker)])
     err = capsys.readouterr().err
@@ -719,7 +743,7 @@ def test_unwritable_output_exits_2(small_data, tmp_path, capsys, command,
     data, cfg = small_data
     out = tmp_path / "o"
     (out / name).mkdir(parents=True)
-    argv = [command] + ([] if command == "synth" else [data])
+    argv = command_argv(command, data)
     capsys.readouterr()
     rc = main(argv + ["--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
@@ -743,7 +767,7 @@ def test_non_utf8_input_exits_2(small_data, tmp_path, capsys, bad):
         cfg = str(path)
     capsys.readouterr()
     rc = main(["esd-check", data, "--config", cfg, "--out",
-               str(tmp_path / "o")])
+               str(tmp_path / "o"), "--snapshot-at", "40"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("kronlift esd-check: ")
@@ -761,7 +785,7 @@ def test_unreadable_config_exits_2(small_data, tmp_path, capsys,
     monkeypatch.setattr(Path, "read_text", denied)
     capsys.readouterr()
     rc = main(["esd-check", data, "--config", cfg, "--out",
-               str(tmp_path / "o")])
+               str(tmp_path / "o"), "--snapshot-at", "40"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"kronlift esd-check: cannot read config {cfg}: " \
@@ -780,7 +804,8 @@ def test_non_regular_input_exits_2(small_data, tmp_path, source):
     """The manifest digests every input, and a bad data file is read again
     for its first bad line, so a FIFO or pipe is refused before any read."""
     data, cfg = small_data
-    argv, path, stdin = ["esd-check"], "/dev/stdin", Path(data).read_bytes()
+    argv, path, stdin = (["esd-check", "--snapshot-at", "40"], "/dev/stdin",
+                         Path(data).read_bytes())
     if source == "fifo":
         if not hasattr(os, "mkfifo"):
             pytest.skip("no FIFOs on this platform")
@@ -815,7 +840,8 @@ def test_taken_output_name_exits_2_before_any_work(
     out = tmp_path / "o"
     (out / name).mkdir(parents=True)
     capsys.readouterr()
-    rc = main([command, data, "--config", cfg, "--out", str(out)])
+    rc = main(command_argv(command, data) + ["--config", cfg,
+                                             "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
         f"kronlift {command}: cannot write {out / name}: Is a directory\n")
@@ -827,8 +853,8 @@ def test_fifo_output_exits_2_without_blocking(small_data, tmp_path):
     out = tmp_path / "o"
     out.mkdir()
     os.mkfifo(out / "summary.json")
-    done = _run_cli(["esd-check", data, "--config", cfg, "--out", str(out)],
-                    b"")
+    done = _run_cli(["esd-check", data, "--config", cfg, "--out", str(out),
+                     "--snapshot-at", "40"], b"")
     assert done.returncode == 2
     assert done.stderr.decode() == (f"kronlift esd-check: cannot write "
                                     f"{out / 'summary.json'}: not a regular file\n")
@@ -855,20 +881,20 @@ MANIFEST_CONFIGS = [
     (["detect-sae", "DATA"], {
         "k": 2, "n": 2, "learning_rate": 0.001, "max_iterations": 40,
         "train_span": [1, 30], "seed": 0}),
-    (["esd-check", "DATA"], {
+    (["esd-check", "DATA", "--snapshot-at", "40"], {
         "k": 2, "n": 2, "window": 30, "use_residual": False, "seed": 0,
-        "snapshot_at": "40"}),
+        "snapshot_at": 40}),
     (["esd-check", "DATA", "--k", "1", "--window", "20", "--seed", "7",
-      "--snapshot-at", "all"], {
-        "k": 1, "n": 4, "window": "all", "use_residual": False, "seed": 7,
-        "snapshot_at": "all"}),
+      "--snapshot-at", "40"], {
+        "k": 1, "n": 4, "window": 20, "use_residual": False, "seed": 7,
+        "snapshot_at": 40}),
     # the time the window ends at, not the text that named it
     (["esd-check", "DATA", "--snapshot-at", "040"], {
         "k": 2, "n": 2, "window": 30, "use_residual": False, "seed": 0,
-        "snapshot_at": "40"}),
+        "snapshot_at": 40}),
     (["esd-check", "DATA", "--snapshot-at", "+40"], {
         "k": 2, "n": 2, "window": 30, "use_residual": False, "seed": 0,
-        "snapshot_at": "40"}),
+        "snapshot_at": 40}),
 ]
 
 
@@ -890,9 +916,22 @@ def test_no_residual_flag_writes_use_residual(small_data, tmp_path):
     cfg = write_config(tmp_path, with_section("esd", use_residual=True))
     out = tmp_path / "o"
     assert main(["esd-check", data, "--config", cfg, "--out", str(out),
-                 "--no-residual"]) == 0
+                 "--snapshot-at", "40", "--no-residual"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["use_residual"] is False
+
+
+@pytest.mark.parametrize("name", ["case_a_step", "case_b_ramp"])
+def test_packaged_config_reads_against_every_schema(name):
+    """Each section of a packaged config reads against the schema of the
+    command that reads it, so no packaged key is one no command takes."""
+    doc = load_config(name)
+    assert set(doc) == {"schema_version", "name", "description",
+                        "scenario", "detector", "sae", "esd"}
+    scenario_from_dict(doc["scenario"])
+    for section, schema in (("detector", DETECTOR_SCHEMA),
+                            ("sae", SAE_SCHEMA), ("esd", ESD_SCHEMA)):
+        read_section(doc[section], schema, section)
 
 
 @pytest.mark.skipif(shutil.which("kronlift") is None,

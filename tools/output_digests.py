@@ -4,7 +4,8 @@
 
 Runs `kronlift.cli.main` in-process, from the `src/` of the checkout this
 file sits in, on both packaged scenarios: `synth`; `detect-rmt --k 1`;
-`esd-check --snapshot-at 500` and `--snapshot-at all`; `detect-sae`
+`esd-check --snapshot-at 500`, and `esd-check --window 999
+--snapshot-at 1000`, the whole differenced record; `detect-sae`
 training and `--checkpoint` scoring of its model; and, on case_a_step
 only, `detect-rmt` at k=2 over [201, 510]; `esd-check --window 196
 --snapshot-at 500`, whose 196 dims against 196 columns put the
@@ -25,11 +26,11 @@ settings, key order and digests are compared but not its run time.
 
 Then it runs a fixed set of commands whose exit code and message it
 prints, on inputs it writes under WORKDIR/errors (which the listing
-skips); all but one must fail: a CSV with a bad float
-on line 3, `esd-check` with detector `"scale_mode": "bogus"` and with
-`"baseline_span": 1`, `detect-rmt --k 1 --window 20` on a 4-channel
-record whose third channel is flat from t=31, a directory as the data
-path, `esd-check --window 2000 --snapshot-at 500` on case_a_step (a
+skips); all but one must fail: `esd-check --snapshot-at 500` on a CSV
+with a bad float on line 3, `esd-check` with detector `"scale_mode":
+"bogus"` and with `"baseline_span": 1`, `detect-rmt --k 1 --window 20`
+on a 4-channel record whose third channel is flat from t=31,
+`esd-check --snapshot-at 500` with a directory as the data path, `esd-check --window 2000 --snapshot-at 500` on case_a_step (a
 window wider than the record, exit 3), `detect-sae --k 2` with learning
 rate 1.7e308 on a 4-channel record of 60 samples (a non-finite loss,
 exit 4), `detect-rmt --k 2 --no-residual --window 20` on the same
@@ -97,7 +98,8 @@ def commands(work: Path):
         yield ["synth", *run, str(d / "synth")]
         yield ["detect-rmt", data, "--k", "1", *run, str(d / "rmt_k1")]
         yield ["esd-check", data, "--snapshot-at", "500", *run, str(d / "esd_500")]
-        yield ["esd-check", data, "--snapshot-at", "all", *run, str(d / "esd_all")]
+        yield ["esd-check", data, "--window", "999", "--snapshot-at", "1000",
+               *run, str(d / "esd_all")]
         yield ["detect-sae", data, *run, str(d / "sae")]
         yield ["detect-sae", data, "--checkpoint", str(d / "sae" / "model.json"),
                *run, str(d / "sae_checkpoint")]
@@ -125,7 +127,7 @@ def failing_commands(errors: Path, data: str):
     errors.mkdir(exist_ok=True)
     bad = errors / "bad_float.csv"
     bad.write_text("t,a,b\n1,0.5,0.25\n2,0.5,x\n", encoding="utf-8")
-    yield "bad_float", ["esd-check", str(bad)]
+    yield "bad_float", ["esd-check", str(bad), "--snapshot-at", "500"]
     for key, value in (("scale_mode", "bogus"), ("baseline_span", 1)):
         doc = load_config("case_a_step")
         doc["detector"][key] = value
@@ -142,7 +144,7 @@ def failing_commands(errors: Path, data: str):
                    encoding="utf-8")
     yield "flat_span", ["detect-rmt", str(flat), "--k", "1", "--window", "20",
                         "--config", str(cfg)]
-    yield "directory", ["esd-check", str(errors)]
+    yield "directory", ["esd-check", str(errors), "--snapshot-at", "500"]
     yield "wide_window", ["esd-check", data, "--window", "2000",
                           "--snapshot-at", "500"]
     values = np.random.default_rng(0).normal(size=(4, 60))
